@@ -188,9 +188,14 @@ impl SetBank {
             };
         }
 
-        // Miss: choose a victim (preferring invalid frames), evict, fill.
-        let valid: Vec<bool> = self.frames(set).iter().map(|f| f.valid).collect();
-        let way = self.replacement.victim(set, &valid);
+        // Miss: fill the lowest-numbered invalid frame first (the usual
+        // hardware convention; the paper's footnote 1 only requires that
+        // empty frames are reused before live blocks are evicted), and ask
+        // the policy for a victim only when the set is full.
+        let way = match self.frames(set).iter().position(|f| !f.valid) {
+            Some(way) => way as u8,
+            None => self.replacement.victim(set),
+        };
         let victim = &self.frames[base + way as usize];
         let evicted = victim.valid.then_some((victim.tag, victim.dirty));
         if let Some((_, dirty)) = evicted {
@@ -295,6 +300,39 @@ mod tests {
         b.flush();
         assert_eq!(b.resident_blocks(), 0);
         assert_eq!(b.stats().accesses(), 2);
+    }
+
+    #[test]
+    fn invalid_frames_fill_lowest_way_first_under_every_policy() {
+        for policy in Policy::ALL {
+            let mut b = SetBank::new(2, 4, policy, 3);
+            for (i, tag) in (0x10..0x14u64).enumerate() {
+                let r = b.access(1, tag, false);
+                assert_eq!(r.way as usize, i, "{policy}: cold fill order");
+                assert_eq!(
+                    r.evicted, None,
+                    "{policy}: no eviction while a frame is free"
+                );
+            }
+            // Punch a hole in the middle of a full set: the next miss
+            // reuses it instead of evicting a live block.
+            assert!(b.invalidate(1, 0x12));
+            let r = b.access(1, 0x20, false);
+            assert_eq!((r.way, r.evicted), (2, None), "{policy}: hole refilled");
+            assert!(b.access(1, 0x21, false).evicted.is_some(), "{policy}");
+        }
+    }
+
+    #[test]
+    fn random_victims_follow_the_seeded_sequence() {
+        // Random draws from its RNG only once the set is full, so the
+        // four cold fills leave the victim stream untouched.
+        let mut b = SetBank::new(1, 4, Policy::Random, 7);
+        let ways: Vec<u8> = (0..20u64).map(|t| b.access(0, t, false).way).collect();
+        assert_eq!(
+            ways,
+            [0, 1, 2, 3, 0, 0, 2, 1, 3, 1, 2, 1, 3, 0, 0, 0, 2, 0, 1, 0]
+        );
     }
 
     #[test]

@@ -120,21 +120,10 @@ impl ReplacementState {
         }
     }
 
-    /// Chooses a victim way for a miss in `set`. Invalid frames (per
-    /// `valid`) are preferred over evicting live blocks, as a set-associative
-    /// cache fills empty frames first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `valid.len()` differs from the associativity.
-    pub fn victim(&mut self, set: usize, valid: &[bool]) -> u8 {
-        assert_eq!(valid.len(), self.assoc, "valid mask has wrong width");
-        // Fill the lowest-numbered invalid frame first (the usual hardware
-        // convention); the paper's footnote 1 only requires that empty
-        // frames are reused before live blocks are evicted.
-        if let Some(way) = valid.iter().position(|&v| !v) {
-            return way as u8;
-        }
+    /// Chooses the way to evict for a miss in a full `set`. Callers fill
+    /// invalid frames before asking, so [`Policy::Random`] draws from its
+    /// RNG only when a live block must go.
+    pub fn victim(&mut self, set: usize) -> u8 {
         match self.policy {
             Policy::Lru | Policy::Fifo => {
                 *self.order(set).last().expect("associativity is positive")
@@ -210,29 +199,18 @@ mod tests {
     #[test]
     fn lru_victim_is_least_recent() {
         let mut s = ReplacementState::new(Policy::Lru, 1, 4, 0);
-        let all_valid = [true; 4];
         s.touch(0, 3);
         s.touch(0, 1);
         // order: 1 3 0 2 → victim 2
-        assert_eq!(s.victim(0, &all_valid), 2);
-    }
-
-    #[test]
-    fn invalid_frames_are_filled_first() {
-        let mut s = ReplacementState::new(Policy::Lru, 1, 4, 0);
-        s.touch(0, 2);
-        let valid = [true, false, true, false];
-        // Both 1 and 3 are invalid; fill the lowest-numbered one.
-        assert_eq!(s.victim(0, &valid), 1);
+        assert_eq!(s.victim(0), 2);
     }
 
     #[test]
     fn random_victim_covers_all_ways() {
         let mut s = ReplacementState::new(Policy::Random, 1, 4, 7);
-        let all_valid = [true; 4];
         let mut seen = [false; 4];
         for _ in 0..200 {
-            seen[s.victim(0, &all_valid) as usize] = true;
+            seen[s.victim(0) as usize] = true;
         }
         assert_eq!(seen, [true; 4]);
     }
@@ -276,12 +254,11 @@ mod tests {
             ops in proptest::collection::vec((0usize..3, 0u8..8), 0..200)
         ) {
             let mut s = ReplacementState::new(Policy::Lru, 2, 8, 1);
-            let all_valid = [true; 8];
             for (op, way) in ops {
                 match op {
                     0 => s.touch(way as usize % 2, way),
                     1 => s.fill(way as usize % 2, way),
-                    _ => { s.victim(way as usize % 2, &all_valid); }
+                    _ => { s.victim(way as usize % 2); }
                 }
                 prop_assert!(is_permutation(s.order(0)));
                 prop_assert!(is_permutation(s.order(1)));

@@ -102,6 +102,14 @@ impl Default for StackConfig {
 /// stack depth, moving it to the top. Within the current region, references
 /// form sequential word runs with random restarts.
 ///
+/// A re-reference costs O(sampled depth) plus the one `powf` of its depth
+/// draw (see [`PowerLawSampler`]): moving the entry at depth `d` to the top
+/// shifts only the `d - 1` entries above it, and with the paper-like
+/// exponents the sampled depth is almost always below ten. A new region
+/// costs O(stack length), for the scan that keeps the stack duplicate-free
+/// and the shift that puts it on top, but new regions are a small fraction
+/// (`p_new_region`) of references.
+///
 /// # Example
 ///
 /// ```
@@ -118,11 +126,12 @@ pub struct StackModel {
     rng: StdRng,
     sampler: PowerLawSampler,
     /// LRU stack of `(region number, resume offset)` pairs (regions
-    /// relative to `base`), most recent first. The offset remembers where
-    /// the last sequential run through the region stopped, so returning to
-    /// a region re-touches the same words — real data structures are
-    /// re-read from the same fields, which is what gives programs their
-    /// word-level (not just region-level) reuse.
+    /// relative to `base`), most recent first, never longer than
+    /// `max_stack`. The offset remembers where the last sequential run
+    /// through the region stopped, so returning to a region re-touches the
+    /// same words — real data structures are re-read from the same fields,
+    /// which is what gives programs their word-level (not just
+    /// region-level) reuse.
     stack: Vec<(u64, u64)>,
     /// Next sequential region number to allocate.
     alloc_cursor: u64,
@@ -177,24 +186,38 @@ impl StackModel {
         region
     }
 
+    /// Puts `entry` on top of the stack in place of the entry at `pos`,
+    /// shifting the `pos` entries above it down one place: O(`pos`), not
+    /// O(stack length).
+    fn move_to_front(&mut self, pos: usize, entry: (u64, u64)) {
+        self.stack.copy_within(..pos, 1);
+        self.stack[0] = entry;
+    }
+
     /// Produces the next data reference.
     pub fn next_record(&mut self) -> TraceRecord {
         let take_new = self.stack.is_empty() || self.rng.gen_bool(self.config.p_new_region);
         let region = if take_new {
             let r = self.allocate_region();
             // A "new" region may coincidentally already be on the stack
-            // (regions wrap around the data segment); dedupe so the stack
-            // stays a set.
-            if let Some(pos) = self.stack.iter().position(|&(x, _)| x == r) {
-                self.stack.remove(pos);
-            }
-            self.stack.insert(0, (r, 0));
+            // (regions wrap around the data segment); promote that entry so
+            // the stack stays a set. Otherwise the region enters at the
+            // bottom, displacing the oldest entry once the stack is full.
+            let pos = match self.stack.iter().position(|&(x, _)| x == r) {
+                Some(pos) => pos,
+                None if self.stack.len() < self.config.max_stack => {
+                    self.stack.push((r, 0));
+                    self.stack.len() - 1
+                }
+                None => self.stack.len() - 1,
+            };
+            self.move_to_front(pos, (r, 0));
             self.run_offset = 0;
             r
         } else {
             let depth = self.sampler.sample(&mut self.rng, self.stack.len());
-            let (r, resume) = self.stack.remove(depth - 1);
-            self.stack.insert(0, (r, resume));
+            let (r, resume) = self.stack[depth - 1];
+            self.move_to_front(depth - 1, (r, resume));
             if depth != 1 {
                 // Returning to an older region resumes its run where it
                 // stopped, re-touching the words it used before.
@@ -202,7 +225,6 @@ impl StackModel {
             }
             r
         };
-        self.stack.truncate(self.config.max_stack);
 
         // Advance the sequential run within the region, or restart it.
         if !self.rng.gen_bool(self.config.p_sequential) {
@@ -324,6 +346,100 @@ mod tests {
             m.next_record();
             let set: HashSet<_> = m.stack.iter().map(|&(r, _)| r).collect();
             assert_eq!(set.len(), m.stack.len(), "stack contains duplicates");
+        }
+    }
+
+    /// The textbook LRU-stack update, kept as an oracle: remove the entry,
+    /// re-insert it at the top, truncate to `max_stack`. Draws from its RNG
+    /// in the same order as [`StackModel::next_record`].
+    struct Reference {
+        config: StackConfig,
+        base: u64,
+        rng: StdRng,
+        sampler: PowerLawSampler,
+        stack: Vec<(u64, u64)>,
+        alloc_cursor: u64,
+        run_offset: u64,
+    }
+
+    impl Reference {
+        fn new(config: StackConfig, base: u64, seed: u64) -> Self {
+            Reference {
+                sampler: PowerLawSampler::new(config.theta),
+                config,
+                base,
+                rng: StdRng::seed_from_u64(seed),
+                stack: Vec::new(),
+                alloc_cursor: 0,
+                run_offset: 0,
+            }
+        }
+
+        fn next_record(&mut self) -> TraceRecord {
+            let c = &self.config;
+            let take_new = self.stack.is_empty() || self.rng.gen_bool(c.p_new_region);
+            let region = if take_new {
+                let regions = c.data_segment / c.region_size;
+                let r = if self.alloc_cursor == 0 || !self.rng.gen_bool(c.p_adjacent_alloc) {
+                    self.rng.gen_range(0..regions)
+                } else {
+                    (self.alloc_cursor + 1) % regions
+                };
+                self.alloc_cursor = r;
+                if let Some(pos) = self.stack.iter().position(|&(x, _)| x == r) {
+                    self.stack.remove(pos);
+                }
+                self.stack.insert(0, (r, 0));
+                self.run_offset = 0;
+                r
+            } else {
+                let depth = self.sampler.sample(&mut self.rng, self.stack.len());
+                let (r, resume) = self.stack.remove(depth - 1);
+                self.stack.insert(0, (r, resume));
+                if depth != 1 {
+                    self.run_offset = resume;
+                }
+                r
+            };
+            self.stack.truncate(c.max_stack);
+            if !self.rng.gen_bool(c.p_sequential) {
+                let words = c.region_size / c.access_size;
+                self.run_offset = self.rng.gen_range(0..words) * c.access_size;
+            }
+            let addr = self.base + region * c.region_size + self.run_offset;
+            self.run_offset = (self.run_offset + c.access_size) % c.region_size;
+            self.stack[0].1 = self.run_offset;
+            let kind = if self.rng.gen_bool(c.write_fraction) {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            TraceRecord::new(addr, kind)
+        }
+    }
+
+    #[test]
+    fn move_to_front_matches_remove_insert_reference() {
+        // A 16-region segment under an 8-entry stack: allocations collide
+        // with resident regions (the promote path) and overflow the stack
+        // (the displace-the-oldest path) constantly.
+        for (seed, theta) in [(1u64, 1.95), (2, 1.0), (3, 0.3)] {
+            let cfg = StackConfig {
+                data_segment: 16 * 64,
+                max_stack: 8,
+                p_new_region: 0.4,
+                theta,
+                ..StackConfig::default()
+            };
+            let mut model = StackModel::new(cfg.clone(), 0x100, seed).unwrap();
+            let mut oracle = Reference::new(cfg, 0x100, seed);
+            for step in 0..20_000 {
+                assert_eq!(model.next_record(), oracle.next_record(), "step {step}");
+                assert_eq!(model.stack, oracle.stack, "step {step}");
+                assert!(model.stack_len() <= 8);
+                let set: HashSet<_> = model.stack.iter().map(|&(r, _)| r).collect();
+                assert_eq!(set.len(), model.stack_len(), "duplicate at step {step}");
+            }
         }
     }
 
