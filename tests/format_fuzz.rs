@@ -2,8 +2,23 @@
 //! errors, never panics, and valid prefixes must decode before the error.
 
 use proptest::prelude::*;
-use seta::trace::format::{BinaryReader, BinaryWriter, TextReader, TextWriter};
+use seta::trace::format::{
+    BinaryReader, BinaryWriter, DineroReader, TextReader, TextWriter, TraceFormatError,
+};
 use seta::trace::{TraceEvent, TraceRecord};
+use std::io::BufReader;
+
+/// Every item a din reader yields, each error as its position and message.
+fn din_items(reader: impl std::io::BufRead) -> Vec<Result<TraceEvent, (u64, String)>> {
+    DineroReader::new(reader)
+        .map(|item| {
+            item.map_err(|e| match e {
+                TraceFormatError::Parse { position, message } => (position, message),
+                TraceFormatError::Io(e) => panic!("i/o error from an in-memory input: {e}"),
+            })
+        })
+        .collect()
+}
 
 proptest! {
     /// The binary reader never panics on arbitrary bytes.
@@ -27,6 +42,31 @@ proptest! {
                 break;
             }
         }
+    }
+
+    /// The din reader never panics on arbitrary bytes, valid UTF-8 or not,
+    /// with or without a line over the length limit. Every error is a
+    /// parse error at a line that exists, and a `BufReader` of any
+    /// capacity decodes exactly as the bytes themselves do.
+    #[test]
+    fn dinero_reader_never_panics(
+        head in proptest::collection::vec(any::<u8>(), 0..256),
+        long in prop_oneof![Just(0usize), 4094usize..4099, Just(10_000)],
+        tail in proptest::collection::vec(any::<u8>(), 0..256),
+        capacity in 1usize..64,
+    ) {
+        let mut bytes = head;
+        bytes.extend(std::iter::repeat(b'7').take(long));
+        bytes.extend(tail);
+        let lines = bytes.split(|&b| b == b'\n').count() as u64
+            - u64::from(bytes.is_empty() || bytes.ends_with(b"\n"));
+        let items = din_items(bytes.as_slice());
+        for item in &items {
+            if let Err((position, _)) = item {
+                prop_assert!((1..=lines).contains(position), "{} of {}", position, lines);
+            }
+        }
+        prop_assert_eq!(din_items(BufReader::with_capacity(capacity, bytes.as_slice())), items);
     }
 
     /// A valid trace followed by garbage yields all valid events first,
