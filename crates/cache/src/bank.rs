@@ -1,8 +1,8 @@
 //! Set-local storage shared by [`Cache`](crate::Cache) and concurrent
 //! front-ends.
 //!
-//! A [`SetBank`] owns the frames, replacement state, statistics, and
-//! optional packed tag lanes for a contiguous range of sets, addressed by
+//! A [`SetBank`] owns the tags and flags, replacement state, statistics,
+//! and optional packed tag lanes for a contiguous range of sets, addressed by
 //! `(set, tag)` rather than by full address. [`Cache`](crate::Cache) wraps
 //! one bank spanning the whole cache behind an
 //! [`AddressMapper`](crate::AddressMapper); a striped concurrent cache wraps many small
@@ -13,6 +13,11 @@ use crate::block::Frame;
 use crate::replacement::{Policy, ReplacementState};
 use crate::stats::CacheStats;
 use seta_core::packed::{LaneSpec, LaneView, PackedLanes};
+
+/// Flag bit: the way holds a block.
+const VALID: u8 = 1;
+/// Flag bit: the held block was written since it was filled.
+const DIRTY: u8 = 2;
 
 /// Outcome of one [`SetBank::access`], in tag space. Callers that know the
 /// bank's address mapping reconstruct the victim's block address from
@@ -31,19 +36,94 @@ pub struct BankAccess {
     pub evicted: Option<(u64, bool)>,
 }
 
-/// The set-local storage of a set-associative write-back cache: frames,
-/// recency, statistics, and (optionally) the packed-lane mirror of the
-/// stored tags. Works purely in `(set, tag)` space — it knows nothing of
-/// block sizes or addresses.
+/// The frame a stored tag and its flag byte describe.
+#[inline]
+fn frame(tag: u64, flags: u8) -> Frame {
+    Frame {
+        valid: flags & VALID != 0,
+        dirty: flags & DIRTY != 0,
+        tag,
+    }
+}
+
+/// A borrowed view of one set's block frames, indexed by way.
+///
+/// The bank stores a set as a contiguous tag array plus one flag byte per
+/// way, so the view hands out [`Frame`]s by value and lends the tag array
+/// itself ([`tags`](Self::tags)) to lookups that want the raw tags.
+#[derive(Clone, Copy)]
+pub struct SetFrames<'a> {
+    tags: &'a [u64],
+    flags: &'a [u8],
+}
+
+impl<'a> SetFrames<'a> {
+    /// Number of ways.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.tags.len()
+    }
+
+    /// Whether the set has no ways (never true for a real cache).
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.tags.is_empty()
+    }
+
+    /// The frame in `way`, if the way exists.
+    #[inline]
+    pub fn get(&self, way: usize) -> Option<Frame> {
+        Some(frame(*self.tags.get(way)?, *self.flags.get(way)?))
+    }
+
+    /// The frames in way order.
+    #[inline]
+    pub fn iter(&self) -> impl Iterator<Item = Frame> + 'a {
+        self.tags.iter().zip(self.flags).map(|(&t, &f)| frame(t, f))
+    }
+
+    /// The stored tags in way order, valid or not. An invalid way keeps
+    /// the tag it last held (0 if it never held one).
+    #[inline]
+    pub fn tags(&self) -> &'a [u64] {
+        self.tags
+    }
+
+    /// The way holding `tag`, if it holds it validly.
+    #[inline]
+    pub fn position(&self, tag: u64) -> Option<usize> {
+        self.tags
+            .iter()
+            .zip(self.flags)
+            .position(|(&t, &f)| t == tag && f & VALID != 0)
+    }
+}
+
+impl std::fmt::Debug for SetFrames<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// The set-local storage of a set-associative write-back cache: tags and
+/// flags, recency, statistics, and (optionally) the packed-lane mirror of
+/// the stored tags. Works purely in `(set, tag)` space — it knows nothing
+/// of block sizes or addresses.
+///
+/// Each set is a run of `assoc` tags in one flat `u64` array plus a run of
+/// `assoc` flag bytes (valid, dirty) — 9 bytes a way instead of a 16-byte
+/// [`Frame`] — so a search scans one contiguous tag slice and views borrow
+/// that slice instead of copying it.
 #[derive(Debug, Clone)]
 pub struct SetBank {
     num_sets: usize,
     assoc: usize,
-    frames: Vec<Frame>,
+    tags: Vec<u64>,
+    flags: Vec<u8>,
     replacement: ReplacementState,
     stats: CacheStats,
     /// Packed-lane mirror of the stored tags for SWAR partial compares
-    /// (see [`seta_core::packed`]); kept coherent with `frames` at every
+    /// (see [`seta_core::packed`]); kept coherent with `tags` at every
     /// tag write. `None` until [`enable_partial_lanes`](Self::enable_partial_lanes).
     lanes: Option<PackedLanes>,
 }
@@ -55,7 +135,8 @@ impl SetBank {
         SetBank {
             num_sets,
             assoc,
-            frames: vec![Frame::empty(); num_sets * assoc],
+            tags: vec![0; num_sets * assoc],
+            flags: vec![0; num_sets * assoc],
             replacement: ReplacementState::new(policy, num_sets, assoc, seed),
             stats: CacheStats::new(),
             lanes: None,
@@ -87,8 +168,12 @@ impl SetBank {
     /// # Panics
     ///
     /// Panics if `set` is out of range.
-    pub fn frames(&self, set: usize) -> &[Frame] {
-        &self.frames[set * self.assoc..(set + 1) * self.assoc]
+    pub fn frames(&self, set: usize) -> SetFrames<'_> {
+        let ways = set * self.assoc..(set + 1) * self.assoc;
+        SetFrames {
+            tags: &self.tags[ways.clone()],
+            flags: &self.flags[ways],
+        }
     }
 
     /// The recency list of one set, most-recently-used way first.
@@ -98,30 +183,32 @@ impl SetBank {
 
     /// Non-mutating residency check: the way holding `tag` in `set`.
     pub fn probe(&self, set: usize, tag: u64) -> Option<u8> {
-        self.frames(set)
-            .iter()
-            .position(|f| f.matches(tag))
-            .map(|w| w as u8)
+        self.frames(set).position(tag).map(|w| w as u8)
     }
 
     /// Number of valid blocks in one set.
     pub fn occupancy(&self, set: usize) -> usize {
-        self.frames(set).iter().filter(|f| f.valid).count()
+        self.frames(set)
+            .flags
+            .iter()
+            .filter(|&&f| f & VALID != 0)
+            .count()
     }
 
     /// Number of valid blocks across the whole bank.
     pub fn resident_blocks(&self) -> usize {
-        self.frames.iter().filter(|f| f.valid).count()
+        self.flags.iter().filter(|&&f| f & VALID != 0).count()
     }
 
     /// Iterates over `(set, tag)` for every resident block.
     pub fn resident_tags(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         let assoc = self.assoc;
-        self.frames
+        self.tags
             .iter()
+            .zip(&self.flags)
             .enumerate()
-            .filter(|(_, f)| f.valid)
-            .map(move |(i, f)| (i / assoc, f.tag))
+            .filter(|(_, (_, &f))| f & VALID != 0)
+            .map(move |(i, (&tag, _))| (i / assoc, tag))
     }
 
     /// Starts maintaining packed tag lanes under `spec` (see
@@ -132,12 +219,8 @@ impl SetBank {
             return false;
         }
         let mut lanes = PackedLanes::new(spec, self.num_sets);
-        let mut tags = vec![0u64; self.assoc];
         for set in 0..self.num_sets {
-            for (w, f) in self.frames(set).iter().enumerate() {
-                tags[w] = f.tag;
-            }
-            lanes.rebuild_set(set, &tags);
+            lanes.rebuild_set(set, self.frames(set).tags());
         }
         self.lanes = Some(lanes);
         true
@@ -153,14 +236,13 @@ impl SetBank {
         self.lanes.as_ref().map(|l| l.view(set))
     }
 
-    /// Debug-build check that the packed lanes still mirror `set`'s frame
+    /// Debug-build check that the packed lanes still mirror `set`'s stored
     /// tags — the coherence invariant of [`seta_core::packed`], asserted
     /// at every site that mutates a set.
     pub(crate) fn debug_check_lanes(&self, set: usize) {
         #[cfg(debug_assertions)]
         if let Some(lanes) = &self.lanes {
-            let tags: Vec<u64> = self.frames(set).iter().map(|f| f.tag).collect();
-            lanes.assert_coherent(set, &tags);
+            lanes.assert_coherent(set, self.frames(set).tags());
         }
         #[cfg(not(debug_assertions))]
         let _ = set;
@@ -170,19 +252,20 @@ impl SetBank {
     /// fills (evicting if needed) on a miss. `is_write` marks the block
     /// dirty.
     pub fn access(&mut self, set: usize, tag: u64, is_write: bool) -> BankAccess {
-        let base = set * self.assoc;
+        let ways = set * self.assoc..(set + 1) * self.assoc;
+        let tags = &mut self.tags[ways.clone()];
+        let flags = &mut self.flags[ways];
 
-        if let Some(way) = self.frames(set).iter().position(|f| f.matches(tag)) {
-            let way = way as u8;
-            let mru_distance = self.replacement.recency_of(set, way);
-            self.replacement.touch(set, way);
+        if let Some(way) = (SetFrames { tags, flags }).position(tag) {
+            let mru_distance = self.replacement.recency_of(set, way as u8);
+            self.replacement.touch(set, way as u8);
             if is_write {
-                self.frames[base + way as usize].dirty = true;
+                flags[way] |= DIRTY;
             }
             self.stats.record_access(true, is_write);
             return BankAccess {
                 hit: true,
-                way,
+                way: way as u8,
                 mru_distance: Some(mru_distance),
                 evicted: None,
             };
@@ -192,18 +275,20 @@ impl SetBank {
         // hardware convention; the paper's footnote 1 only requires that
         // empty frames are reused before live blocks are evicted), and ask
         // the policy for a victim only when the set is full.
-        let way = match self.frames(set).iter().position(|f| !f.valid) {
+        let way = match flags.iter().position(|&f| f & VALID == 0) {
             Some(way) => way as u8,
             None => self.replacement.victim(set),
         };
-        let victim = &self.frames[base + way as usize];
-        let evicted = victim.valid.then_some((victim.tag, victim.dirty));
+        let w = way as usize;
+        let victim = flags[w];
+        let evicted = (victim & VALID != 0).then_some((tags[w], victim & DIRTY != 0));
         if let Some((_, dirty)) = evicted {
             self.stats.record_eviction(dirty);
         }
-        self.frames[base + way as usize] = Frame::filled(tag, is_write);
-        // The fill is the only operation that writes a frame's tag, so it
-        // is the only place the packed lanes need an incremental update.
+        tags[w] = tag;
+        flags[w] = if is_write { VALID | DIRTY } else { VALID };
+        // The fill is the only operation that writes a tag, so it is the
+        // only place the packed lanes need an incremental update.
         if let Some(lanes) = &mut self.lanes {
             lanes.on_fill(set, way as usize, tag);
         }
@@ -221,13 +306,11 @@ impl SetBank {
     /// Invalidates every block and resets recency lists (statistics are
     /// kept). See [`Cache::flush`](crate::Cache::flush).
     pub fn flush(&mut self) {
-        for f in &mut self.frames {
-            f.invalidate();
-        }
+        self.flags.fill(0);
         self.replacement.reset();
-        // Invalidation clears valid bits but keeps tags in place, so the
-        // packed lanes (which mirror tags regardless of validity) are
-        // still coherent without an update.
+        // Invalidation clears flags but keeps tags in place, so the packed
+        // lanes (which mirror tags regardless of validity) are still
+        // coherent without an update.
         #[cfg(debug_assertions)]
         for set in 0..self.num_sets {
             self.debug_check_lanes(set);
@@ -237,9 +320,8 @@ impl SetBank {
     /// Invalidates `(set, tag)` if resident, returning whether a block was
     /// dropped. See [`Cache::invalidate`](crate::Cache::invalidate).
     pub fn invalidate(&mut self, set: usize, tag: u64) -> bool {
-        let base = set * self.assoc;
-        if let Some(way) = self.frames(set).iter().position(|f| f.matches(tag)) {
-            self.frames[base + way].invalidate();
+        if let Some(way) = self.frames(set).position(tag) {
+            self.flags[set * self.assoc + way] = 0;
             // Tags survive invalidation, so the lanes stay coherent.
             self.debug_check_lanes(set);
             true
@@ -252,6 +334,7 @@ impl SetBank {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn bank() -> SetBank {
         SetBank::new(4, 2, Policy::Lru, 0)
@@ -348,5 +431,191 @@ mod tests {
             b.access((t % 4) as usize, t, t % 3 == 0);
         }
         assert!(b.lane_view(0).is_some());
+    }
+
+    #[test]
+    fn set_frames_view_reads_tags_and_flags() {
+        let mut b = bank();
+        b.access(1, 0x7, true);
+        let f = b.frames(1);
+        assert_eq!((f.len(), f.is_empty()), (2, false));
+        assert_eq!(f.get(0), Some(Frame::filled(0x7, true)));
+        assert_eq!(f.get(1), Some(Frame::empty()));
+        assert_eq!(f.get(2), None);
+        assert_eq!(f.tags(), &[0x7, 0]);
+        assert_eq!(f.position(0x7), Some(0));
+        assert_eq!(f.position(0), None, "an empty way's tag never matches");
+        assert_eq!(
+            format!("{f:?}"),
+            format!("{:?}", f.iter().collect::<Vec<_>>())
+        );
+    }
+
+    /// The bank as it stored sets before the tag/flag layout: one 16-byte
+    /// [`Frame`] per way, searched frame by frame. The differential oracle
+    /// for the flat store.
+    struct FrameBank {
+        assoc: usize,
+        frames: Vec<Frame>,
+        replacement: ReplacementState,
+        lanes: Option<PackedLanes>,
+    }
+
+    impl FrameBank {
+        fn new(num_sets: usize, assoc: usize, policy: Policy, seed: u64) -> Self {
+            FrameBank {
+                assoc,
+                frames: vec![Frame::empty(); num_sets * assoc],
+                replacement: ReplacementState::new(policy, num_sets, assoc, seed),
+                lanes: None,
+            }
+        }
+
+        fn frames(&self, set: usize) -> &[Frame] {
+            &self.frames[set * self.assoc..(set + 1) * self.assoc]
+        }
+
+        fn tags(&self, set: usize) -> Vec<u64> {
+            self.frames(set).iter().map(|f| f.tag).collect()
+        }
+
+        fn probe(&self, set: usize, tag: u64) -> Option<u8> {
+            self.frames(set)
+                .iter()
+                .position(|f| f.matches(tag))
+                .map(|w| w as u8)
+        }
+
+        fn access(&mut self, set: usize, tag: u64, is_write: bool) -> BankAccess {
+            let base = set * self.assoc;
+            if let Some(way) = self.probe(set, tag) {
+                let mru_distance = self.replacement.recency_of(set, way);
+                self.replacement.touch(set, way);
+                if is_write {
+                    self.frames[base + way as usize].dirty = true;
+                }
+                return BankAccess {
+                    hit: true,
+                    way,
+                    mru_distance: Some(mru_distance),
+                    evicted: None,
+                };
+            }
+            let way = match self.frames(set).iter().position(|f| !f.valid) {
+                Some(way) => way as u8,
+                None => self.replacement.victim(set),
+            };
+            let victim = self.frames[base + way as usize];
+            self.frames[base + way as usize] = Frame::filled(tag, is_write);
+            if let Some(lanes) = &mut self.lanes {
+                lanes.on_fill(set, way as usize, tag);
+            }
+            self.replacement.fill(set, way);
+            BankAccess {
+                hit: false,
+                way,
+                mru_distance: None,
+                evicted: victim.valid.then_some((victim.tag, victim.dirty)),
+            }
+        }
+
+        fn invalidate(&mut self, set: usize, tag: u64) -> bool {
+            match self.probe(set, tag) {
+                Some(way) => {
+                    self.frames[set * self.assoc + way as usize].invalidate();
+                    true
+                }
+                None => false,
+            }
+        }
+
+        fn flush(&mut self) {
+            for f in &mut self.frames {
+                f.invalidate();
+            }
+            self.replacement.reset();
+        }
+    }
+
+    /// One step of a differential run.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Access { set: usize, tag: u64, write: bool },
+        Invalidate { set: usize, tag: u64 },
+        Flush,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        // Few tags per set so hits, evictions and invalidations all occur.
+        prop_oneof![
+            12 => (0usize..4, 0u64..12, any::<bool>())
+                .prop_map(|(set, tag, write)| Op::Access { set, tag, write }),
+            2 => (0usize..4, 0u64..12).prop_map(|(set, tag)| Op::Invalidate { set, tag }),
+            1 => Just(Op::Flush),
+        ]
+    }
+
+    proptest! {
+        /// The flat tag/flag store behaves exactly like the frame store it
+        /// replaced: same access outcomes, same frames, same resident set,
+        /// and (with lanes on) the same lane words.
+        #[test]
+        fn flat_store_matches_frame_store(
+            ops in proptest::collection::vec(op(), 1..160),
+            policy_idx in 0usize..3,
+            assoc_idx in 0usize..3,
+            lanes in any::<bool>(),
+            seed in 0u64..1000,
+        ) {
+            use seta_core::lookup::TransformKind;
+            let policy = [Policy::Lru, Policy::Fifo, Policy::Random][policy_idx];
+            let assoc = [2usize, 4, 8][assoc_idx];
+            let mut flat = SetBank::new(4, assoc, policy, seed);
+            let mut model = FrameBank::new(4, assoc, policy, seed);
+            if lanes {
+                let spec = LaneSpec::try_new(16, 1, TransformKind::XorFold, assoc as u32)
+                    .expect("realizable lane spec");
+                prop_assert!(flat.enable_partial_lanes(spec));
+                model.lanes = Some(PackedLanes::new(spec, 4));
+            }
+            for op in ops {
+                match op {
+                    Op::Access { set, tag, write } => {
+                        prop_assert_eq!(flat.access(set, tag, write), model.access(set, tag, write));
+                    }
+                    Op::Invalidate { set, tag } => {
+                        prop_assert_eq!(flat.invalidate(set, tag), model.invalidate(set, tag));
+                    }
+                    Op::Flush => {
+                        flat.flush();
+                        model.flush();
+                    }
+                }
+                for set in 0..4 {
+                    let frames: Vec<Frame> = flat.frames(set).iter().collect();
+                    prop_assert_eq!(frames.as_slice(), model.frames(set), "set {}", set);
+                    prop_assert_eq!(flat.frames(set).tags(), model.tags(set).as_slice());
+                    prop_assert_eq!(
+                        flat.occupancy(set),
+                        model.frames(set).iter().filter(|f| f.valid).count()
+                    );
+                    for tag in 0..12 {
+                        prop_assert_eq!(flat.probe(set, tag), model.probe(set, tag));
+                    }
+                    if let (Some(view), Some(lanes)) = (flat.lane_view(set), &model.lanes) {
+                        prop_assert_eq!(view.words(), lanes.view(set).words());
+                    }
+                }
+                let resident: Vec<(usize, u64)> = flat.resident_tags().collect();
+                let expected: Vec<(usize, u64)> = model
+                    .frames
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, f)| f.valid)
+                    .map(|(i, f)| (i / assoc, f.tag))
+                    .collect();
+                prop_assert_eq!(resident, expected);
+            }
+        }
     }
 }

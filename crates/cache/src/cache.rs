@@ -1,8 +1,7 @@
 //! The set-associative write-back cache.
 
 use crate::addr::AddressMapper;
-use crate::bank::SetBank;
-use crate::block::Frame;
+use crate::bank::{SetBank, SetFrames};
 use crate::config::CacheConfig;
 use crate::replacement::Policy;
 use crate::stats::CacheStats;
@@ -55,7 +54,7 @@ pub struct AccessResult {
 pub struct Cache {
     config: CacheConfig,
     mapper: AddressMapper,
-    /// All set-local state (frames, recency, stats, packed lanes) lives in
+    /// All set-local state (tags, flags, recency, stats, packed lanes) lives in
     /// one [`SetBank`] spanning every set; `Cache` adds the address
     /// mapping on top.
     bank: SetBank,
@@ -129,7 +128,7 @@ impl Cache {
     /// # Panics
     ///
     /// Panics if `set` is out of range.
-    pub fn set_frames(&self, set: u64) -> &[Frame] {
+    pub fn set_frames(&self, set: u64) -> SetFrames<'_> {
         self.bank
             .frames(usize::try_from(set).expect("set fits usize"))
     }

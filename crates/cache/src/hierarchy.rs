@@ -21,7 +21,7 @@
 //! each hint was still correct so simulations can quantify the optimization
 //! even though multi-level inclusion is not enforced.
 
-use crate::block::Frame;
+use crate::bank::SetFrames;
 use crate::cache::Cache;
 use crate::config::CacheConfig;
 use crate::stats::CacheStats;
@@ -64,8 +64,11 @@ pub struct L2RequestView<'a> {
     pub hit_way: Option<u8>,
     /// Pre-access recency position of the hit way (0 = MRU), when `hit`.
     pub mru_distance: Option<usize>,
-    /// The target set's frames (pre-access).
-    pub frames: &'a [Frame],
+    /// The target set's frames (pre-access), borrowed from the cache's
+    /// tag/flag store: [`SetFrames::tags`] lends the stored tags without a
+    /// copy, and [`SetFrames::iter`] yields each way's [`Frame`](crate::Frame)
+    /// by value.
+    pub frames: SetFrames<'a>,
     /// The target set's recency order, MRU first (pre-access).
     pub order: &'a [u8],
     /// For write-backs: whether the L1's position hint still names the way
@@ -237,7 +240,251 @@ impl std::iter::Sum for TwoLevelStats {
     }
 }
 
-/// The two-level write-back hierarchy.
+/// One L1 miss, as the L1 half hands it to the level below: everything the
+/// L2 needs to issue the miss's read-in and, if the displaced block was
+/// dirty, its write-back.
+///
+/// The L1's miss stream does not depend on the L2 (the hierarchy does not
+/// enforce inclusion), so one [`L1Half`] can feed the same `L1Miss` to
+/// any number of [`L2Half`]s.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct L1Miss {
+    /// Index of the L1 frame the missing block now occupies
+    /// (`set · assoc + way`), which keys the L2 half's position hints.
+    pub frame: usize,
+    /// Block-aligned (in the L1 geometry) address to read in.
+    pub addr: u64,
+    /// Block address of the dirty victim to write back, if any.
+    pub write_back: Option<u64>,
+}
+
+impl L1Miss {
+    /// The L2 requests this miss issues, in issue order. Per Table 3, "the
+    /// new block is first obtained via a read-in request, then a
+    /// write-back is issued".
+    #[inline]
+    pub fn requests(&self) -> impl Iterator<Item = (L2RequestKind, u64)> {
+        std::iter::once((L2RequestKind::ReadIn, self.addr))
+            .chain(self.write_back.map(|a| (L2RequestKind::WriteBack, a)))
+    }
+}
+
+/// The processor-facing half of the hierarchy: the L1 cache and the
+/// reference and flush counts. [`access`](Self::access) turns each
+/// processor reference into at most one [`L1Miss`].
+#[derive(Debug, Clone)]
+pub struct L1Half {
+    cache: Cache,
+    processor_refs: u64,
+    flushes: u64,
+}
+
+impl L1Half {
+    /// An empty L1 (LRU, should the configuration be set-associative).
+    pub fn new(config: CacheConfig) -> Self {
+        L1Half {
+            cache: Cache::new(config),
+            processor_refs: 0,
+            flushes: 0,
+        }
+    }
+
+    /// The level-one cache.
+    pub fn cache(&self) -> &Cache {
+        &self.cache
+    }
+
+    /// Processor references serviced.
+    pub fn processor_refs(&self) -> u64 {
+        self.processor_refs
+    }
+
+    /// Services one processor reference: counts it, accesses the L1 and
+    /// reports the outcome to `sink`. Returns the miss the L2 must serve,
+    /// or `None` on an L1 hit.
+    pub fn access<M: MetricsSink>(&mut self, record: &TraceRecord, sink: &mut M) -> Option<L1Miss> {
+        self.processor_refs += 1;
+        let r = self.cache.access(record.addr, record.kind.is_write());
+        sink.on_ref(r.hit);
+        if r.hit {
+            return None;
+        }
+        let set = self.cache.mapper().set_of(record.addr) as usize;
+        let assoc = self.cache.config().associativity() as usize;
+        Some(L1Miss {
+            frame: set * assoc + r.way as usize,
+            addr: record.block_addr(self.cache.config().block_size()),
+            write_back: r.evicted.filter(|v| v.dirty).map(|v| v.addr),
+        })
+    }
+
+    /// Flushes the L1 (contents discarded) and counts the flush.
+    pub fn flush(&mut self) {
+        self.cache.flush();
+        self.flushes += 1;
+    }
+}
+
+/// The memory-facing half of the hierarchy: the L2 cache, the per-L1-frame
+/// position hints, and the read-in, write-back and hint counters.
+/// [`serve`](Self::serve) issues one [`L1Miss`]'s requests.
+#[derive(Debug, Clone)]
+pub struct L2Half {
+    cache: Cache,
+    /// Per-L1-frame hint: the L2 way the frame's block was loaded from.
+    hints: Vec<Option<u8>>,
+    /// This half's counters. `processor_refs` is the L1 half's to count;
+    /// see [`stats`](Self::stats).
+    stats: TwoLevelStats,
+}
+
+impl L2Half {
+    /// An empty L2 with the given replacement policy, holding one position
+    /// hint per frame of `l1`. `seed` feeds [`Policy::Random`](crate::Policy)
+    /// and is ignored by the deterministic policies.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HierarchyError::BlockSizeMismatch`] if the L1 block size
+    /// exceeds the L2 block size.
+    pub fn new(
+        l1: &CacheConfig,
+        l2: CacheConfig,
+        policy: crate::Policy,
+        seed: u64,
+    ) -> Result<Self, HierarchyError> {
+        if l1.block_size() > l2.block_size() {
+            return Err(HierarchyError::BlockSizeMismatch {
+                l1: l1.block_size(),
+                l2: l2.block_size(),
+            });
+        }
+        Ok(L2Half {
+            cache: Cache::with_policy(l2, policy, seed),
+            hints: vec![None; l1.num_frames() as usize],
+            stats: TwoLevelStats::default(),
+        })
+    }
+
+    /// The level-two cache.
+    pub fn cache(&self) -> &Cache {
+        &self.cache
+    }
+
+    /// Starts maintaining packed tag lanes on the L2 (see
+    /// [`Cache::enable_partial_lanes`]).
+    pub fn enable_partial_lanes(&mut self, spec: seta_core::packed::LaneSpec) -> bool {
+        self.cache.enable_partial_lanes(spec)
+    }
+
+    /// The hierarchy counters of this L2 behind `l1`: the reference and
+    /// flush counts are the L1 half's, everything else this half's own.
+    pub fn stats(&self, l1: &L1Half) -> TwoLevelStats {
+        TwoLevelStats {
+            processor_refs: l1.processor_refs,
+            flushes: l1.flushes,
+            ..self.stats
+        }
+    }
+
+    /// Serves one L1 miss: reads the victim frame's hint, issues the
+    /// read-in, records where the block landed as the frame's new hint,
+    /// then issues the dirty victim's write-back checked against the old
+    /// hint. `observer` sees every request before it mutates the L2.
+    pub fn serve<O: L2Observer, M: MetricsSink>(
+        &mut self,
+        miss: &L1Miss,
+        observer: &mut O,
+        sink: &mut M,
+    ) {
+        // Remember the victim's hint before overwriting the frame's hint
+        // with the incoming block's L2 position.
+        let victim_hint = self.hints[miss.frame];
+        // Internal iteration runs the two requests as straight-line code.
+        miss.requests().for_each(|(kind, addr)| {
+            let hint = match kind {
+                L2RequestKind::ReadIn => None,
+                L2RequestKind::WriteBack => victim_hint,
+            };
+            let way = self.issue(kind, addr, hint, observer, sink);
+            if kind == L2RequestKind::ReadIn {
+                self.hints[miss.frame] = Some(way);
+            }
+        });
+    }
+
+    /// Issues one L2 request: observes the pre-state, then performs the
+    /// access. Returns the way the block occupies afterwards.
+    fn issue<O: L2Observer, M: MetricsSink>(
+        &mut self,
+        kind: L2RequestKind,
+        addr: u64,
+        hint: Option<u8>,
+        observer: &mut O,
+        sink: &mut M,
+    ) -> u8 {
+        let set = self.cache.mapper().set_of(addr);
+        let tag = self.cache.mapper().tag_of(addr);
+        let frames = self.cache.set_frames(set);
+        let order = self.cache.set_order(set);
+        let hit_way = frames.position(tag).map(|w| w as u8);
+        let mru_distance =
+            hit_way.map(|w| order.iter().position(|&o| o == w).expect("permutation"));
+        let hint_correct = match kind {
+            L2RequestKind::ReadIn => None,
+            L2RequestKind::WriteBack => Some(hint.is_some() && hint == hit_way),
+        };
+        let view = L2RequestView {
+            kind,
+            addr,
+            set,
+            tag,
+            hit: hit_way.is_some(),
+            hit_way,
+            mru_distance,
+            frames,
+            order,
+            hint_correct,
+            lanes: self.cache.lane_view(set),
+        };
+        observer.on_l2_request(&view);
+
+        let is_write = kind == L2RequestKind::WriteBack;
+        let result = self.cache.access(addr, is_write);
+        sink.on_l2(kind, result.hit);
+        sink.on_l2_set(set, kind, result.hit, mru_distance);
+        match kind {
+            L2RequestKind::ReadIn => {
+                self.stats.read_ins += 1;
+                if result.hit {
+                    self.stats.read_in_hits += 1;
+                }
+            }
+            L2RequestKind::WriteBack => {
+                self.stats.write_backs += 1;
+                if result.hit {
+                    self.stats.write_back_hits += 1;
+                }
+                self.stats.hint_checks += 1;
+                if hint_correct == Some(true) {
+                    self.stats.hint_correct += 1;
+                }
+            }
+        }
+        result.way
+    }
+
+    /// Flushes the L2 and the hints (contents discarded) and counts the
+    /// flush.
+    pub fn flush(&mut self) {
+        self.cache.flush();
+        self.hints.fill(None);
+        self.stats.flushes += 1;
+    }
+}
+
+/// The two-level write-back hierarchy: one [`L1Half`] feeding one
+/// [`L2Half`].
 ///
 /// # Example
 ///
@@ -256,11 +503,10 @@ impl std::iter::Sum for TwoLevelStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct TwoLevel {
-    l1: Cache,
-    l2: Cache,
-    /// Per-L1-frame hint: the L2 way the frame's block was loaded from.
-    hints: Vec<Option<u8>>,
-    stats: TwoLevelStats,
+    l1: L1Half,
+    /// The L2 half, whose counter block doubles as the hierarchy's: it
+    /// mirrors the L1 half's reference count after every step.
+    l2: L2Half,
 }
 
 /// Errors from constructing a [`TwoLevel`].
@@ -317,29 +563,21 @@ impl TwoLevel {
         l2_policy: crate::Policy,
         seed: u64,
     ) -> Result<Self, HierarchyError> {
-        if l1.block_size() > l2.block_size() {
-            return Err(HierarchyError::BlockSizeMismatch {
-                l1: l1.block_size(),
-                l2: l2.block_size(),
-            });
-        }
-        let l1_frames = l1.num_frames() as usize;
+        let l2 = L2Half::new(&l1, l2, l2_policy, seed)?;
         Ok(TwoLevel {
-            l1: Cache::new(l1),
-            l2: Cache::with_policy(l2, l2_policy, seed),
-            hints: vec![None; l1_frames],
-            stats: TwoLevelStats::default(),
+            l1: L1Half::new(l1),
+            l2,
         })
     }
 
     /// The level-one cache.
     pub fn l1(&self) -> &Cache {
-        &self.l1
+        self.l1.cache()
     }
 
     /// The level-two cache.
     pub fn l2(&self) -> &Cache {
-        &self.l2
+        self.l2.cache()
     }
 
     /// Starts maintaining packed tag lanes on the level-two cache, so every
@@ -352,16 +590,12 @@ impl TwoLevel {
 
     /// Hierarchy-level counters.
     pub fn stats(&self) -> &TwoLevelStats {
-        &self.stats
+        &self.l2.stats
     }
 
     /// Per-level access statistics `(l1, l2)`.
     pub fn level_stats(&self) -> (CacheStats, CacheStats) {
-        (*self.l1.stats(), *self.l2.stats())
-    }
-
-    fn l1_frame_index(&self, set: u64, way: u8) -> usize {
-        set as usize * self.l1.config().associativity() as usize + way as usize
+        (*self.l1().stats(), *self.l2().stats())
     }
 
     /// Services one processor reference, notifying `observer` of every L2
@@ -371,105 +605,19 @@ impl TwoLevel {
     }
 
     /// [`step`](Self::step) with a [`MetricsSink`] receiving the L1 and
-    /// L2 outcomes.
+    /// L2 outcomes: the L1 half's access, then, on a miss, the L2 half's
+    /// service of it.
     pub fn step_metered<O: L2Observer, M: MetricsSink>(
         &mut self,
         record: &TraceRecord,
         observer: &mut O,
         sink: &mut M,
     ) {
-        self.stats.processor_refs += 1;
-        let is_write = record.kind.is_write();
-        let l1_set = self.l1.mapper().set_of(record.addr);
-        let r1 = self.l1.access(record.addr, is_write);
-        sink.on_ref(r1.hit);
-        if r1.hit {
-            return;
+        let miss = self.l1.access(record, sink);
+        self.l2.stats.processor_refs = self.l1.processor_refs;
+        if let Some(miss) = miss {
+            self.l2.serve(&miss, observer, sink);
         }
-
-        // L1 miss: remember the victim's hint before overwriting the frame's
-        // hint with the incoming block's L2 position.
-        let frame_idx = self.l1_frame_index(l1_set, r1.way);
-        let victim_hint = self.hints[frame_idx];
-
-        // Read-in first (per Table 3: "the new block is first obtained via a
-        // read-in request, then a write-back is issued").
-        let read_addr = record.block_addr(self.l1.config().block_size());
-        let l2_way = self.issue(L2RequestKind::ReadIn, read_addr, None, observer, sink);
-        self.hints[frame_idx] = Some(l2_way);
-
-        if let Some(victim) = r1.evicted {
-            if victim.dirty {
-                self.issue(
-                    L2RequestKind::WriteBack,
-                    victim.addr,
-                    victim_hint,
-                    observer,
-                    sink,
-                );
-            }
-        }
-    }
-
-    /// Issues one L2 request: observes the pre-state, then performs the
-    /// access. Returns the way the block occupies afterwards.
-    fn issue<O: L2Observer, M: MetricsSink>(
-        &mut self,
-        kind: L2RequestKind,
-        addr: u64,
-        hint: Option<u8>,
-        observer: &mut O,
-        sink: &mut M,
-    ) -> u8 {
-        let set = self.l2.mapper().set_of(addr);
-        let tag = self.l2.mapper().tag_of(addr);
-        let frames = self.l2.set_frames(set);
-        let order = self.l2.set_order(set);
-        let hit_way = frames.iter().position(|f| f.matches(tag)).map(|w| w as u8);
-        let mru_distance =
-            hit_way.map(|w| order.iter().position(|&o| o == w).expect("permutation"));
-        let hint_correct = match kind {
-            L2RequestKind::ReadIn => None,
-            L2RequestKind::WriteBack => Some(hint.is_some() && hint == hit_way),
-        };
-        let view = L2RequestView {
-            kind,
-            addr,
-            set,
-            tag,
-            hit: hit_way.is_some(),
-            hit_way,
-            mru_distance,
-            frames,
-            order,
-            hint_correct,
-            lanes: self.l2.lane_view(set),
-        };
-        observer.on_l2_request(&view);
-
-        let is_write = kind == L2RequestKind::WriteBack;
-        let result = self.l2.access(addr, is_write);
-        sink.on_l2(kind, result.hit);
-        sink.on_l2_set(set, kind, result.hit, mru_distance);
-        match kind {
-            L2RequestKind::ReadIn => {
-                self.stats.read_ins += 1;
-                if result.hit {
-                    self.stats.read_in_hits += 1;
-                }
-            }
-            L2RequestKind::WriteBack => {
-                self.stats.write_backs += 1;
-                if result.hit {
-                    self.stats.write_back_hits += 1;
-                }
-                self.stats.hint_checks += 1;
-                if hint_correct == Some(true) {
-                    self.stats.hint_correct += 1;
-                }
-            }
-        }
-        result.way
     }
 
     /// Flushes both levels (contents discarded, hints cleared), as at the
@@ -477,8 +625,6 @@ impl TwoLevel {
     pub fn flush(&mut self) {
         self.l1.flush();
         self.l2.flush();
-        self.hints.fill(None);
-        self.stats.flushes += 1;
     }
 
     /// Processes one trace event.
@@ -532,17 +678,15 @@ impl TwoLevel {
     /// the paper's footnote 1; the freed L2 frame is preferentially reused
     /// by the next miss to its set.
     pub fn invalidate_block(&mut self, addr: u64) -> (bool, bool) {
-        let in_l1 = self.l1.invalidate(addr);
+        let in_l1 = self.l1.cache.invalidate(addr);
         if in_l1 {
             // The hint for that frame is now meaningless.
-            let set = self.l1.mapper().set_of(addr);
-            let assoc = self.l1.config().associativity() as usize;
+            let set = self.l1.cache.mapper().set_of(addr);
+            let assoc = self.l1.cache.config().associativity() as usize;
             let base = set as usize * assoc;
-            for slot in &mut self.hints[base..base + assoc] {
-                *slot = None;
-            }
+            self.l2.hints[base..base + assoc].fill(None);
         }
-        let in_l2 = self.l2.invalidate(addr);
+        let in_l2 = self.l2.cache.invalidate(addr);
         (in_l1, in_l2)
     }
 
@@ -550,9 +694,9 @@ impl TwoLevel {
     /// multi-level-inclusion violations. The paper does not enforce
     /// inclusion but monitors how close the hierarchy stays to it.
     pub fn inclusion_violations(&self) -> usize {
-        self.l1
+        self.l1()
             .resident_addrs()
-            .filter(|&a| self.l2.probe(a).is_none())
+            .filter(|&a| self.l2().probe(a).is_none())
             .count()
     }
 }

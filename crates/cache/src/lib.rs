@@ -50,13 +50,14 @@ pub mod stats;
 pub mod swap_two_way;
 
 pub use addr::AddressMapper;
-pub use bank::{BankAccess, SetBank};
+pub use bank::{BankAccess, SetBank, SetFrames};
 pub use block::Frame;
 pub use cache::{AccessResult, Cache, EvictedBlock};
 pub use config::{CacheConfig, CacheConfigError};
 pub use hash_rehash::{HashRehashCache, HrAccess};
 pub use hierarchy::{
-    L2Observer, L2RequestKind, L2RequestView, MetricsSink, TwoLevel, TwoLevelStats,
+    L1Half, L1Miss, L2Half, L2Observer, L2RequestKind, L2RequestView, MetricsSink, TwoLevel,
+    TwoLevelStats,
 };
 pub use mattson::MattsonAnalyzer;
 pub use multilevel::{LevelTraffic, MultiLevel, MultiLevelObserver};

@@ -13,7 +13,6 @@
 //! state, so the lookup strategies can be priced at whichever level the
 //! study targets (typically the last).
 
-use crate::block::Frame;
 use crate::cache::Cache;
 use crate::config::CacheConfig;
 use crate::hierarchy::{L2RequestKind, L2RequestView};
@@ -212,9 +211,9 @@ impl MultiLevel {
         let cache = &self.levels[level];
         let set = cache.mapper().set_of(addr);
         let tag = cache.mapper().tag_of(addr);
-        let frames: &[Frame] = cache.set_frames(set);
+        let frames = cache.set_frames(set);
         let order = cache.set_order(set);
-        let hit_way = frames.iter().position(|f| f.matches(tag)).map(|w| w as u8);
+        let hit_way = frames.position(tag).map(|w| w as u8);
         let mru_distance =
             hit_way.map(|w| order.iter().position(|&o| o == w).expect("permutation"));
         let view = L2RequestView {

@@ -36,12 +36,12 @@ pub struct Response {
 }
 
 /// One stripe: a contiguous range of sets behind one lock, with its own
-/// probe accounting and scratch buffers so requests never allocate.
+/// probe accounting and a scratch buffer for valid bits so requests never
+/// allocate (the tags are borrowed from the bank).
 #[derive(Debug)]
 struct Stripe {
     bank: SetBank,
     probes: ProbeStats,
-    tags_buf: Vec<u64>,
     valid_buf: Vec<bool>,
 }
 
@@ -109,7 +109,6 @@ impl ConcurrentCache {
                 Mutex::new(Stripe {
                     bank,
                     probes: ProbeStats::new(),
-                    tags_buf: vec![0; assoc],
                     valid_buf: vec![false; assoc],
                 })
             })
@@ -216,20 +215,12 @@ impl ConcurrentCache {
         // Snapshot the pre-access set state and price the lookup exactly
         // like the sweep scorer: monomorphized StrategyKind dispatch, with
         // the packed-lane fast path when the bank maintains matching lanes.
-        for ((t, v), f) in stripe
-            .tags_buf
-            .iter_mut()
-            .zip(&mut stripe.valid_buf)
-            .zip(stripe.bank.frames(local))
-        {
-            *t = f.tag;
+        let frames = stripe.bank.frames(local);
+        for (v, f) in stripe.valid_buf.iter_mut().zip(frames.iter()) {
             *v = f.valid;
         }
-        let view = SetView::from_trusted_parts(
-            &stripe.tags_buf,
-            &stripe.valid_buf,
-            stripe.bank.order(local),
-        );
+        let view =
+            SetView::from_trusted_parts(frames.tags(), &stripe.valid_buf, stripe.bank.order(local));
         let lookup = match (&self.strategy, stripe.bank.lane_view(local)) {
             (StrategyKind::Partial(p), Some(l)) if self.lane_spec == Some(l.spec()) => {
                 p.lookup_packed(&view, &l, tag)

@@ -1,10 +1,10 @@
 //! The multi-client open-loop load generator.
 //!
-//! Each client thread owns a private L1 (the same direct-mapped
-//! [`Cache`] the sequential hierarchy uses) and replays
-//! trace chunks against the shared [`ConcurrentCache`], issuing exactly
-//! the requests [`TwoLevel`](seta_cache::TwoLevel) would: a read-in per L1
-//! miss, then a write-back per dirty L1 victim. Chunks come off an atomic
+//! Each client thread owns a private L1 (the same [`L1Half`] the
+//! sequential hierarchy steps) and replays trace chunks against the shared
+//! [`ConcurrentCache`], issuing exactly the requests
+//! [`TwoLevel`](seta_cache::TwoLevel) would: each [`L1Miss`]'s read-in,
+//! then its dirty victim's write-back. Chunks come off an atomic
 //! work queue — the sweep runner's sharding pattern, via
 //! [`seta_sim::partition`] — and every client starts each chunk from a
 //! flushed (cold) L1, so which client replays which chunk can never change
@@ -19,7 +19,7 @@
 
 use crate::cache::ConcurrentCache;
 use serde::Serialize;
-use seta_cache::{Cache, CacheConfig, CacheStats};
+use seta_cache::{CacheConfig, CacheStats, L1Half, L2RequestKind};
 use seta_core::{ProbeStats, StrategyKind};
 use seta_obs::{
     labeled, ContentionObserver, ContentionReport, LatencyRecorder, NoContention,
@@ -134,8 +134,7 @@ impl LoadOutcome {
 /// monomorphizes away and the request path is byte-for-byte the old one.
 struct Client<'a, O: ContentionObserver> {
     shared: &'a ConcurrentCache,
-    l1: Cache,
-    refs: u64,
+    l1: L1Half,
     requests: u64,
     read_ins: u64,
     read_in_hits: u64,
@@ -160,8 +159,7 @@ impl<'a, O: ContentionObserver> Client<'a, O> {
     ) -> Self {
         Client {
             shared,
-            l1: Cache::new(spec.l1),
-            refs: 0,
+            l1: L1Half::new(spec.l1),
             requests: 0,
             read_ins: 0,
             read_in_hits: 0,
@@ -220,9 +218,9 @@ impl<'a, O: ContentionObserver> Client<'a, O> {
         resp
     }
 
-    /// Replays one trace event — the same request sequence
-    /// [`TwoLevel::step`](seta_cache::TwoLevel) issues: read-in first,
-    /// then the dirty victim's write-back.
+    /// Replays one trace event through the L1 half
+    /// [`TwoLevel::step`](seta_cache::TwoLevel) uses, issuing each L1
+    /// miss's requests against the shared cache in the miss's order.
     fn step(&mut self, event: &TraceEvent) {
         let record = match event {
             TraceEvent::Flush => {
@@ -232,20 +230,22 @@ impl<'a, O: ContentionObserver> Client<'a, O> {
             }
             TraceEvent::Ref(r) => r,
         };
-        self.refs += 1;
-        let r1 = self.l1.access(record.addr, record.kind.is_write());
-        if r1.hit {
+        let Some(miss) = self.l1.access(record, &mut ()) else {
             return;
-        }
-        let resp = self.request(record.block_addr(self.l1.config().block_size()), false);
-        self.read_ins += 1;
-        self.read_in_hits += u64::from(resp.hit);
-        self.probes += u64::from(resp.probes);
-        if let Some(victim) = r1.evicted {
-            if victim.dirty {
-                let resp = self.request(victim.addr, true);
-                self.write_backs += 1;
-                self.write_back_hits += u64::from(resp.hit);
+        };
+        for (kind, addr) in miss.requests() {
+            let resp = self.request(addr, kind == L2RequestKind::WriteBack);
+            // Write-backs cost zero probes under the optimization.
+            self.probes += u64::from(resp.probes);
+            match kind {
+                L2RequestKind::ReadIn => {
+                    self.read_ins += 1;
+                    self.read_in_hits += u64::from(resp.hit);
+                }
+                L2RequestKind::WriteBack => {
+                    self.write_backs += 1;
+                    self.write_back_hits += u64::from(resp.hit);
+                }
             }
         }
     }
@@ -271,16 +271,17 @@ impl<'a, O: ContentionObserver> Client<'a, O> {
                 self.l1.flush();
             }
             let span = self.buf.open(format!("chunk-{i}"), "chunk");
-            let (refs0, reqs0, probes0) = (self.refs, self.requests, self.probes);
+            let (refs0, reqs0, probes0) = (self.l1.processor_refs(), self.requests, self.probes);
             for event in &events[range.clone()] {
                 self.step(event);
             }
-            self.buf.counter(span, "refs", self.refs - refs0);
+            self.buf
+                .counter(span, "refs", self.l1.processor_refs() - refs0);
             self.buf.counter(span, "requests", self.requests - reqs0);
             self.buf.counter(span, "probes", self.probes - probes0);
             self.buf.close(span);
             if let Some(handle) = handle {
-                let (drefs, dreqs) = (self.refs - refs0, self.requests - reqs0);
+                let (drefs, dreqs) = (self.l1.processor_refs() - refs0, self.requests - reqs0);
                 handle.update_metrics(|m| {
                     let c = m.counter("serve_refs_total");
                     m.inc(c, drefs);
@@ -291,10 +292,10 @@ impl<'a, O: ContentionObserver> Client<'a, O> {
                 });
                 let wall = started.elapsed().as_secs_f64();
                 handle.publish_heartbeat(&ServeHeartbeat {
-                    refs: self.refs,
+                    refs: self.l1.processor_refs(),
                     wall_seconds: wall,
                     refs_per_second: if wall > 0.0 {
-                        self.refs as f64 / wall
+                        self.l1.processor_refs() as f64 / wall
                     } else {
                         0.0
                     },
@@ -520,14 +521,14 @@ fn replay_parts_observed<O: ContentionObserver + Send>(
     let mut observers = Vec::with_capacity(clients.len());
     let mut phases = PhasedLatencyRecorder::new(spec.sample_every);
     for c in clients {
-        outcome.refs += c.refs;
+        outcome.refs += c.l1.processor_refs();
         outcome.requests += c.requests;
         outcome.read_ins += c.read_ins;
         outcome.read_in_hits += c.read_in_hits;
         outcome.write_backs += c.write_backs;
         outcome.write_back_hits += c.write_back_hits;
         outcome.probes += c.probes;
-        outcome.l1_stats += *c.l1.stats();
+        outcome.l1_stats += *c.l1.cache().stats();
         latency.merge(&c.latency);
         phases.merge(&c.phases);
         observers.push(c.obs);

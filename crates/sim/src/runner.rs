@@ -2,7 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 use seta_cache::{
-    CacheConfig, CacheStats, L2Observer, L2RequestKind, L2RequestView, TwoLevel, TwoLevelStats,
+    CacheConfig, CacheStats, L1Half, L2Half, L2Observer, L2RequestKind, L2RequestView, TwoLevel,
+    TwoLevelStats,
 };
 use seta_core::lookup::{
     Lookup, LookupStrategy, Mru, Naive, PartialCompare, StrategyKind, Traditional, TransformKind,
@@ -72,9 +73,9 @@ pub(crate) struct Scorer<'a> {
     lane_specs: Vec<Option<LaneSpec>>,
     pub(crate) results: Vec<(ProbeStats, ProbeStats)>,
     pub(crate) mru_hist: MruDistanceHistogram,
-    /// Scratch buffers for snapshotting the target set, reused across
-    /// accesses so the lookup inner loop never allocates.
-    tags_buf: Vec<u64>,
+    /// Scratch buffer for the target set's valid bits, reused across
+    /// accesses so the lookup inner loop never allocates. The tags are
+    /// borrowed straight from the cache's tag store.
     valid_buf: Vec<bool>,
     /// Requests that change the MRU list (hits away from the MRU position,
     /// plus every miss) — Table 2's update probability `u`.
@@ -96,7 +97,6 @@ impl<'a> Scorer<'a> {
                 .collect(),
             results: vec![(ProbeStats::new(), ProbeStats::new()); strategies.len()],
             mru_hist: MruDistanceHistogram::new(assoc as usize),
-            tags_buf: vec![0; assoc as usize],
             valid_buf: vec![false; assoc as usize],
             mru_updates: 0,
             requests: 0,
@@ -113,19 +113,13 @@ impl<'a> Scorer<'a> {
     where
         F: FnMut(usize, &dyn LookupStrategy, &SetView, u64) -> Lookup,
     {
-        for ((t, v), f) in self
-            .tags_buf
-            .iter_mut()
-            .zip(&mut self.valid_buf)
-            .zip(req.frames)
-        {
-            *t = f.tag;
+        for (v, f) in self.valid_buf.iter_mut().zip(req.frames.iter()) {
             *v = f.valid;
         }
         // The cache guarantees the snapshot's invariants (its recency order
         // is always a permutation), so the trusted constructor skips the
         // per-access validation scan.
-        let view = SetView::from_trusted_parts(&self.tags_buf, &self.valid_buf, req.order);
+        let view = SetView::from_trusted_parts(req.frames.tags(), &self.valid_buf, req.order);
 
         if req.kind == L2RequestKind::ReadIn && req.hit {
             self.mru_hist
@@ -392,42 +386,92 @@ impl RunSpec {
         self.trace.flush_between_segments && self.trace.segments > 1
     }
 
-    /// Simulates segments `start..end` of this spec on a fresh hierarchy,
-    /// returning the mergeable counters.
-    fn run_segments(&self, start: usize, end: usize) -> ShardOutcome {
-        let strategies = standard_strategies(self.l2.associativity(), self.tag_bits);
-        let mut hierarchy = TwoLevel::with_l2_policy(self.l1, self.l2, seta_cache::Policy::Lru, 0)
-            .expect("L1 blocks must fit in L2 blocks");
-        if let Some(spec) = partial_lane_spec(&strategies, self.l2.associativity()) {
-            hierarchy.enable_partial_lanes(spec);
-        }
-        let mut scorer = Scorer::new(&strategies, self.l2.associativity());
-        hierarchy.run(
-            seta_trace::gen::AtumLike::segment_range(self.trace.clone(), self.seed, start, end),
-            &mut scorer,
-        );
-        let (l1_stats, l2_stats) = hierarchy.level_stats();
-        ShardOutcome {
-            hierarchy: *hierarchy.stats(),
-            l1_stats,
-            l2_stats,
-            results: scorer.results,
-            mru_hist: scorer.mru_hist,
-            mru_updates: scorer.mru_updates,
-            requests: scorer.requests,
-        }
+    /// Whether `other` sees the same L1 miss stream: the same trace, seed
+    /// and L1. Such specs differ only below the L1 (L2 geometry, tag
+    /// width), and the hierarchy does not enforce inclusion, so one trace
+    /// pass through one L1 can feed every one of their L2s.
+    fn shares_l1_stream(&self, other: &RunSpec) -> bool {
+        self.l1 == other.l1 && self.seed == other.seed && self.trace == other.trace
     }
 }
 
-/// One work item of a sharded sweep: a contiguous segment range of one spec.
+/// One work item of a sharded sweep: a contiguous segment range of one
+/// group of specs that share their L1 miss stream.
 pub(crate) struct Shard {
-    spec: usize,
+    /// Indices of the group's specs, ascending.
+    members: Vec<usize>,
     seg_start: usize,
     seg_end: usize,
 }
 
-/// The mergeable counters one shard produces. Everything in a
-/// [`RunOutcome`] except the labels is a sum (or a ratio of sums) of these.
+impl Shard {
+    /// Simulates segments `seg_start..seg_end` for every member: generates
+    /// the segments once, runs them through one L1, and hands every L1 miss
+    /// to each member's L2 and scorer in turn. Returns the members'
+    /// mergeable counters, in member order.
+    fn run(&self, specs: &[RunSpec]) -> Vec<ShardOutcome> {
+        let lead = &specs[self.members[0]];
+        let strategies: Vec<_> = self
+            .members
+            .iter()
+            .map(|&i| standard_strategies(specs[i].l2.associativity(), specs[i].tag_bits))
+            .collect();
+        let mut l1 = L1Half::new(lead.l1);
+        let mut l2s: Vec<(L2Half, Scorer<'_>)> = self
+            .members
+            .iter()
+            .zip(&strategies)
+            .map(|(&i, strategies)| {
+                let spec = &specs[i];
+                let assoc = spec.l2.associativity();
+                let mut l2 = L2Half::new(&spec.l1, spec.l2, seta_cache::Policy::Lru, 0)
+                    .expect("L1 blocks must fit in L2 blocks");
+                if let Some(lanes) = partial_lane_spec(strategies, assoc) {
+                    l2.enable_partial_lanes(lanes);
+                }
+                (l2, Scorer::new(strategies, assoc))
+            })
+            .collect();
+        let events = seta_trace::gen::AtumLike::segment_range(
+            lead.trace.clone(),
+            lead.seed,
+            self.seg_start,
+            self.seg_end,
+        );
+        for event in events {
+            match event {
+                TraceEvent::Ref(r) => {
+                    if let Some(miss) = l1.access(&r, &mut ()) {
+                        for (l2, scorer) in &mut l2s {
+                            l2.serve(&miss, scorer, &mut ());
+                        }
+                    }
+                }
+                TraceEvent::Flush => {
+                    l1.flush();
+                    for (l2, _) in &mut l2s {
+                        l2.flush();
+                    }
+                }
+            }
+        }
+        l2s.into_iter()
+            .map(|(l2, scorer)| ShardOutcome {
+                hierarchy: l2.stats(&l1),
+                l1_stats: *l1.cache().stats(),
+                l2_stats: *l2.cache().stats(),
+                results: scorer.results,
+                mru_hist: scorer.mru_hist,
+                mru_updates: scorer.mru_updates,
+                requests: scorer.requests,
+            })
+            .collect()
+    }
+}
+
+/// The mergeable counters one shard produces for one member spec.
+/// Everything in a [`RunOutcome`] except the labels is a sum (or a ratio
+/// of sums) of these.
 pub(crate) struct ShardOutcome {
     hierarchy: TwoLevelStats,
     l1_stats: CacheStats,
@@ -483,26 +527,41 @@ impl ShardOutcome {
     }
 }
 
-/// Splits the sweep into its unit of parallelism: one shard per cold-start
-/// segment for specs that decompose, one whole-spec shard otherwise (warm
-/// traces carry cache state across segment boundaries and must run
-/// sequentially).
+/// Splits the sweep into its units of work. Specs are first grouped by
+/// what their L1 miss stream depends on — trace, seed and L1 — so each
+/// segment is generated and each L1 simulated once per group, not once
+/// per spec; L2 geometry and tag width may differ within a group. Each
+/// group then splits like a single spec: one shard per cold-start segment
+/// if its trace decomposes, one whole-trace shard otherwise (warm traces
+/// carry cache state across segment boundaries and must run
+/// sequentially). Shards come out in (group, segment) order, groups in
+/// order of their first spec.
 fn shard_plan(specs: &[RunSpec]) -> Vec<Shard> {
-    let mut shards = Vec::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
     for (i, spec) in specs.iter().enumerate() {
-        if spec.splits_by_segment() {
-            for k in 0..spec.trace.segments {
-                shards.push(Shard {
-                    spec: i,
-                    seg_start: k,
-                    seg_end: k + 1,
-                });
-            }
+        match groups
+            .iter_mut()
+            .find(|g| specs[g[0]].shares_l1_stream(spec))
+        {
+            Some(group) => group.push(i),
+            None => groups.push(vec![i]),
+        }
+    }
+    let mut shards = Vec::new();
+    for members in groups {
+        let lead = &specs[members[0]];
+        let segments = lead.trace.segments;
+        if lead.splits_by_segment() {
+            shards.extend((0..segments).map(|k| Shard {
+                members: members.clone(),
+                seg_start: k,
+                seg_end: k + 1,
+            }));
         } else {
             shards.push(Shard {
-                spec: i,
+                members,
                 seg_start: 0,
-                seg_end: spec.trace.segments,
+                seg_end: segments,
             });
         }
     }
@@ -528,8 +587,9 @@ pub(crate) trait SweepTracer: Sync {
     fn worker_start(&self, track: u32) -> Self::Worker;
     /// Called when the worker dequeues a shard, before simulating it.
     fn shard_begin(&self, worker: &mut Self::Worker, shard: &Shard);
-    /// Called when the shard's simulation finishes, with its counters.
-    fn shard_end(&self, worker: &mut Self::Worker, out: &ShardOutcome);
+    /// Called when the shard's simulation finishes, with its members'
+    /// counters in member order.
+    fn shard_end(&self, worker: &mut Self::Worker, outs: &[ShardOutcome]);
     /// Called when the queue is drained, still on the worker's thread.
     fn worker_finish(&self, worker: Self::Worker);
     /// Brackets the sequential fold of shard outcomes on the main thread.
@@ -545,7 +605,7 @@ impl SweepTracer for NoTracer {
     type Worker = ();
     fn worker_start(&self, _track: u32) {}
     fn shard_begin(&self, _worker: &mut (), _shard: &Shard) {}
-    fn shard_end(&self, _worker: &mut (), _out: &ShardOutcome) {}
+    fn shard_end(&self, _worker: &mut (), _outs: &[ShardOutcome]) {}
     fn worker_finish(&self, _worker: ()) {}
     fn merge_begin(&self) {}
     fn merge_end(&self) {}
@@ -625,21 +685,30 @@ impl SweepTracer for SweepSpanTracer {
 
     fn shard_begin(&self, w: &mut SpanWorker, shard: &Shard) {
         w.buf.close(w.wait);
+        let members: Vec<String> = shard.members.iter().map(usize::to_string).collect();
         let name = format!(
-            "spec{} seg{}..{}",
-            shard.spec, shard.seg_start, shard.seg_end
+            "specs {} seg{}..{}",
+            members.join(","),
+            shard.seg_start,
+            shard.seg_end
         );
         w.current = Some(w.buf.open(name, "shard"));
     }
 
-    fn shard_end(&self, w: &mut SpanWorker, out: &ShardOutcome) {
+    fn shard_end(&self, w: &mut SpanWorker, outs: &[ShardOutcome]) {
+        // Counters are sums over the members, so span counters still add
+        // up to the outcomes' totals.
         let id = w.current.take().expect("shard_begin opened the span");
-        w.buf.counter(id, "refs", out.hierarchy.processor_refs);
-        w.buf.counter(id, "read_ins", out.hierarchy.read_ins);
+        let sum = |f: fn(&ShardOutcome) -> u64| outs.iter().map(f).sum::<u64>();
         w.buf
-            .counter(id, "read_in_hits", out.hierarchy.read_in_hits);
-        w.buf.counter(id, "write_backs", out.hierarchy.write_backs);
-        w.buf.counter(id, "probes", shard_probe_total(&out.results));
+            .counter(id, "refs", sum(|o| o.hierarchy.processor_refs));
+        w.buf.counter(id, "read_ins", sum(|o| o.hierarchy.read_ins));
+        w.buf
+            .counter(id, "read_in_hits", sum(|o| o.hierarchy.read_in_hits));
+        w.buf
+            .counter(id, "write_backs", sum(|o| o.hierarchy.write_backs));
+        w.buf
+            .counter(id, "probes", sum(|o| shard_probe_total(&o.results)));
         w.buf.close(id);
         w.wait = w.buf.open("queue-wait", "queue-wait");
     }
@@ -754,11 +823,11 @@ impl SweepTracer for ServeSweepTracer {
         });
     }
 
-    fn shard_end(&self, w: &mut SpanWorker, out: &ShardOutcome) {
-        self.inner.shard_end(w, out);
+    fn shard_end(&self, w: &mut SpanWorker, outs: &[ShardOutcome]) {
+        self.inner.shard_end(w, outs);
         let worker = w.buf.track().to_string();
-        let shard_refs = out.hierarchy.processor_refs;
-        let shard_probes = shard_probe_total(&out.results);
+        let shard_refs: u64 = outs.iter().map(|o| o.hierarchy.processor_refs).sum();
+        let shard_probes: u64 = outs.iter().map(|o| shard_probe_total(&o.results)).sum();
         let refs = self.refs.fetch_add(shard_refs, Ordering::Relaxed) + shard_refs;
         self.handle.update_metrics(|m| {
             let c = m.counter("sweep_shards_done_total");
@@ -800,12 +869,17 @@ fn shard_probe_total(results: &[(ProbeStats, ProbeStats)]) -> u64 {
 /// Runs a sweep of independent simulations across a sharded work queue,
 /// returning outcomes in spec order.
 ///
-/// Parallelism is per *segment*, not per spec: each cold-start trace
-/// segment is an independent unit of work (the paper's methodology flushes
-/// the hierarchy between segments), so even a single multi-segment spec
-/// fans out across every worker. Per-shard counters merge exactly —
-/// results are bit-identical to running each spec serially through
-/// [`simulate`], whatever the worker count.
+/// The sweep is trace-major. Specs that share a trace, seed and L1 form a
+/// group: their L1 miss stream is the same whatever their L2 (the
+/// hierarchy does not enforce inclusion), so each of the group's trace
+/// segments is generated once and run through one L1, and every L1 miss
+/// fans out to each member's L2 and scorer. Parallelism is per (group,
+/// segment): each cold-start trace segment is an independent unit of work
+/// (the paper's methodology flushes the hierarchy between segments), so
+/// even a single multi-segment group fans out across every worker.
+/// Per-shard counters merge exactly — results are bit-identical to running
+/// each spec serially through [`simulate`], whatever the grouping and the
+/// worker count.
 ///
 /// Worker count is `min(available_parallelism, shard count)`; set
 /// `SETA_THREADS` to pin it (e.g. `SETA_THREADS=1` for a reproducible
@@ -908,18 +982,18 @@ fn simulate_sharded<T: SweepTracer>(
     use std::sync::atomic::AtomicUsize;
     use std::sync::Mutex;
 
-    let mut slots: Vec<Option<ShardOutcome>> = Vec::new();
+    let mut slots: Vec<Vec<ShardOutcome>> = Vec::new();
     if threads <= 1 {
         let mut worker = tracer.worker_start(1);
         slots.extend(shards.iter().map(|s| {
             tracer.shard_begin(&mut worker, s);
-            let out = specs[s.spec].run_segments(s.seg_start, s.seg_end);
-            tracer.shard_end(&mut worker, &out);
-            Some(out)
+            let outs = s.run(specs);
+            tracer.shard_end(&mut worker, &outs);
+            outs
         }));
         tracer.worker_finish(worker);
     } else {
-        let shared: Vec<Mutex<Option<ShardOutcome>>> =
+        let shared: Vec<Mutex<Option<Vec<ShardOutcome>>>> =
             shards.iter().map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
         std::thread::scope(|scope| {
@@ -931,32 +1005,32 @@ fn simulate_sharded<T: SweepTracer>(
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         let Some(shard) = shards.get(i) else { break };
                         tracer.shard_begin(&mut worker, shard);
-                        let out = specs[shard.spec].run_segments(shard.seg_start, shard.seg_end);
-                        tracer.shard_end(&mut worker, &out);
-                        *shared[i].lock().expect("no panics while holding the slot") = Some(out);
+                        let outs = shard.run(specs);
+                        tracer.shard_end(&mut worker, &outs);
+                        *shared[i].lock().expect("no panics while holding the slot") = Some(outs);
                     }
                     tracer.worker_finish(worker);
                 });
             }
         });
         slots.extend(shared.into_iter().map(|slot| {
-            Some(
-                slot.into_inner()
-                    .expect("worker threads joined cleanly")
-                    .expect("every slot was filled"),
-            )
+            slot.into_inner()
+                .expect("worker threads joined cleanly")
+                .expect("every slot was filled")
         }));
     }
 
-    // Fold each spec's shards back together in segment order. Shards were
-    // emitted in (spec, segment) order, so a single forward pass suffices.
+    // Fold each member's outcomes back together in segment order. Shards
+    // were emitted in (group, segment) order, so a single forward pass
+    // suffices.
     tracer.merge_begin();
     let mut outcomes: Vec<Option<ShardOutcome>> = specs.iter().map(|_| None).collect();
-    for (shard, slot) in shards.iter().zip(&mut slots) {
-        let out = slot.take().expect("every shard produced an outcome");
-        match &mut outcomes[shard.spec] {
-            acc @ None => *acc = Some(out),
-            Some(acc) => acc.merge(out),
+    for (shard, outs) in shards.iter().zip(slots) {
+        for (&spec, out) in shard.members.iter().zip(outs) {
+            match &mut outcomes[spec] {
+                acc @ None => *acc = Some(out),
+                Some(acc) => acc.merge(out),
+            }
         }
     }
     let outcomes = outcomes
@@ -1307,6 +1381,32 @@ mod tests {
         assert_eq!(plan.len(), 5); // 4 cold segments + 1 warm whole-spec
         assert!(plan[..4].iter().all(|s| s.seg_end - s.seg_start == 1));
         assert_eq!((plan[4].seg_start, plan[4].seg_end), (0, 3));
+    }
+
+    #[test]
+    fn shard_plan_groups_specs_that_share_the_l1_stream() {
+        let a4 = multiseg_spec(2, 4, 1);
+        let other_seed = multiseg_spec(2, 4, 2);
+        let mut a8 = multiseg_spec(2, 8, 1);
+        a8.tag_bits = 12;
+        let mut other_l1 = multiseg_spec(2, 4, 1);
+        other_l1.l1 = CacheConfig::new(4 * 1024, 16, 2).unwrap();
+        let plan = shard_plan(&[a4, other_seed, a8, other_l1]);
+        let groups: Vec<(&[usize], usize)> = plan
+            .iter()
+            .map(|s| (s.members.as_slice(), s.seg_start))
+            .collect();
+        assert_eq!(
+            groups,
+            [
+                (&[0, 2][..], 0),
+                (&[0, 2][..], 1),
+                (&[1][..], 0),
+                (&[1][..], 1),
+                (&[3][..], 0),
+                (&[3][..], 1)
+            ]
+        );
     }
 
     #[test]

@@ -2,9 +2,71 @@
 //! the two-level hierarchy with all strategies attached.
 
 use proptest::prelude::*;
-use seta::cache::{CacheConfig, TwoLevel};
+use seta::cache::{
+    CacheConfig, Frame, L1Half, L2Half, L2RequestKind, L2RequestView, Policy, TwoLevel,
+};
+use seta::core::lookup::TransformKind;
+use seta::core::packed::LaneSpec;
 use seta::sim::runner::{simulate, standard_strategies};
 use seta::trace::{TraceEvent, TraceRecord};
+
+/// Every field of one [`L2RequestView`], owned, so request sequences from
+/// different hierarchies can be compared.
+#[derive(Debug, Clone, PartialEq)]
+struct SeenRequest {
+    kind: L2RequestKind,
+    addr: u64,
+    set: u64,
+    tag: u64,
+    hit: bool,
+    hit_way: Option<u8>,
+    mru_distance: Option<usize>,
+    frames: Vec<Frame>,
+    tags: Vec<u64>,
+    order: Vec<u8>,
+    hint_correct: Option<bool>,
+    lanes: Option<(LaneSpec, Vec<u64>)>,
+}
+
+impl SeenRequest {
+    fn of(req: &L2RequestView<'_>) -> Self {
+        SeenRequest {
+            kind: req.kind,
+            addr: req.addr,
+            set: req.set,
+            tag: req.tag,
+            hit: req.hit,
+            hit_way: req.hit_way,
+            mru_distance: req.mru_distance,
+            frames: req.frames.iter().collect(),
+            tags: req.frames.tags().to_vec(),
+            order: req.order.to_vec(),
+            hint_correct: req.hint_correct,
+            lanes: req.lanes.map(|l| (l.spec(), l.words().to_vec())),
+        }
+    }
+}
+
+/// L2 geometries behind one 256 B direct-mapped L1 with 16 B blocks:
+/// mixed sizes, block sizes and associativities, with packed lanes on
+/// where a 16-bit, one-subset partial compare is realizable.
+fn member_l2s() -> Vec<(CacheConfig, Option<LaneSpec>)> {
+    [
+        (1024u64, 32u64, 4u32),
+        (2048, 16, 8),
+        (512, 16, 2),
+        (4096, 64, 16),
+    ]
+    .into_iter()
+    .map(|(size, block, assoc)| {
+        let config = CacheConfig::new(size, block, assoc).expect("valid L2");
+        (
+            config,
+            LaneSpec::try_new(16, 1, TransformKind::XorFold, assoc),
+        )
+    })
+    .collect()
+}
 
 fn arbitrary_events() -> impl Strategy<Value = Vec<TraceEvent>> {
     proptest::collection::vec(
@@ -87,5 +149,87 @@ proptest! {
         h.process(&events[events.len() - 1], &mut ());
         prop_assert_eq!(h.stats().read_ins, read_ins + 1, "post-flush ref reaches L2");
         prop_assert_eq!(h.stats().read_in_hits, hits, "and misses there");
+    }
+
+    /// `TwoLevel::step` is exactly the L1 half followed by the L2 half.
+    #[test]
+    fn step_is_the_l1_half_then_the_l2_half(events in arbitrary_events()) {
+        let l1 = CacheConfig::new(512, 16, 2).expect("valid L1");
+        let l2 = CacheConfig::new(2048, 32, 4).expect("valid L2");
+        let mut whole = TwoLevel::new(l1, l2).expect("compatible levels");
+        let mut front = L1Half::new(l1);
+        let mut back = L2Half::new(&l1, l2, Policy::Lru, 0).expect("compatible levels");
+        let mut seen_whole = Vec::new();
+        let mut seen_halves = Vec::new();
+        for event in &events {
+            whole.process(event, &mut |r: &L2RequestView<'_>| seen_whole.push(SeenRequest::of(r)));
+            match event {
+                TraceEvent::Ref(r) => {
+                    if let Some(miss) = front.access(r, &mut ()) {
+                        let mut obs = |r: &L2RequestView<'_>| seen_halves.push(SeenRequest::of(r));
+                        back.serve(&miss, &mut obs, &mut ());
+                    }
+                }
+                TraceEvent::Flush => {
+                    front.flush();
+                    back.flush();
+                }
+            }
+        }
+        prop_assert_eq!(seen_whole, seen_halves);
+        prop_assert_eq!(*whole.stats(), back.stats(&front));
+        prop_assert_eq!(whole.level_stats(), (*front.cache().stats(), *back.cache().stats()));
+    }
+
+    /// One L1 half feeding k L2 halves is k separate hierarchies: the same
+    /// hierarchy counters, the same L2 statistics, and the same sequence
+    /// of every request field, frames, hints and lanes included.
+    #[test]
+    fn one_l1_half_feeds_many_l2_halves(events in arbitrary_events()) {
+        let l1 = CacheConfig::direct_mapped(256, 16).expect("valid L1");
+        let l2s = member_l2s();
+        let mut front = L1Half::new(l1);
+        let mut backs: Vec<(L2Half, Vec<SeenRequest>)> = l2s
+            .iter()
+            .map(|&(l2, lanes)| {
+                let mut back = L2Half::new(&l1, l2, Policy::Lru, 0).expect("compatible levels");
+                if let Some(spec) = lanes {
+                    prop_assert!(back.enable_partial_lanes(spec));
+                }
+                (back, Vec::new())
+            })
+            .collect();
+        for event in &events {
+            match event {
+                TraceEvent::Ref(r) => {
+                    if let Some(miss) = front.access(r, &mut ()) {
+                        for (back, seen) in &mut backs {
+                            let mut obs = |r: &L2RequestView<'_>| seen.push(SeenRequest::of(r));
+                            back.serve(&miss, &mut obs, &mut ());
+                        }
+                    }
+                }
+                TraceEvent::Flush => {
+                    front.flush();
+                    for (back, _) in &mut backs {
+                        back.flush();
+                    }
+                }
+            }
+        }
+        for ((l2, lanes), (back, seen)) in l2s.iter().zip(&backs) {
+            let mut alone = TwoLevel::new(l1, *l2).expect("compatible levels");
+            if let Some(spec) = lanes {
+                prop_assert!(alone.enable_partial_lanes(*spec));
+            }
+            let mut seen_alone = Vec::new();
+            alone.run(events.iter().copied(), &mut |r: &L2RequestView<'_>| {
+                seen_alone.push(SeenRequest::of(r))
+            });
+            prop_assert_eq!(&seen_alone, seen, "{}", l2.label());
+            prop_assert_eq!(*alone.stats(), back.stats(&front), "{}", l2.label());
+            prop_assert_eq!(alone.l2().stats(), back.cache().stats(), "{}", l2.label());
+            prop_assert_eq!(alone.l1().stats(), front.cache().stats(), "{}", l2.label());
+        }
     }
 }

@@ -56,6 +56,51 @@ fn arbitrary_spec() -> impl Strategy<Value = RunSpec> {
         })
 }
 
+/// A sweep built to form groups (specs sharing trace, seed and L1): every
+/// spec runs one trace, cold or warm; about one in four takes another seed;
+/// the L1 is one of three (one of them 2-way); and the L2 geometry (size,
+/// block size, associativity) and tag width vary freely within a group.
+fn grouped_sweep() -> impl Strategy<Value = Vec<RunSpec>> {
+    (
+        (1usize..=4, 100u64..300, any::<bool>(), any::<u64>()),
+        proptest::collection::vec((0usize..3, 0usize..5, 0usize..3, 0usize..4), 2..=7),
+    )
+        .prop_map(|((segments, refs_per_segment, cold, seed), members)| {
+            let trace = AtumLikeConfig {
+                segments,
+                refs_per_segment,
+                flush_between_segments: cold,
+                multiprogram: MultiprogramConfig {
+                    mean_quantum: 50,
+                    os_burst: 8,
+                    ..MultiprogramConfig::default()
+                },
+            };
+            members
+                .into_iter()
+                .map(|(l1, l2, tag, reseed)| RunSpec {
+                    l1: match l1 {
+                        0 => CacheConfig::direct_mapped(256, 16),
+                        1 => CacheConfig::new(512, 16, 2),
+                        _ => CacheConfig::direct_mapped(512, 16),
+                    }
+                    .expect("valid L1"),
+                    l2: match l2 {
+                        0 => CacheConfig::new(2048, 32, 4),
+                        1 => CacheConfig::new(4096, 32, 8),
+                        2 => CacheConfig::new(2048, 16, 4),
+                        3 => CacheConfig::new(1024, 16, 2),
+                        _ => CacheConfig::new(4096, 64, 16),
+                    }
+                    .expect("valid L2"),
+                    trace: trace.clone(),
+                    seed: if reseed == 0 { seed ^ 1 } else { seed },
+                    tag_bits: [12, 14, 16][tag],
+                })
+                .collect()
+        })
+}
+
 fn fingerprint(outcome: &RunOutcome) -> String {
     serde_json::to_string(outcome).expect("outcome serializes")
 }
@@ -168,6 +213,49 @@ proptest! {
             prop_assert_eq!(trace.with_cat("sweep").count(), 1);
             prop_assert_eq!(trace.with_cat("merge").count(), 1);
             prop_assert!(trace.with_cat("worker").count() >= 1);
+        }
+    }
+
+    /// A grouped sweep's shard spans conserve every counter of the
+    /// outcomes — each span sums its members — and a cold multi-segment
+    /// trace yields exactly one shard per (group, segment).
+    #[test]
+    fn grouped_sweep_spans_conserve_and_count_groups(specs in grouped_sweep()) {
+        // Every spec runs the same trace, so a group is a distinct
+        // (L1, seed) pair.
+        let mut groups: Vec<(CacheConfig, u64)> = Vec::new();
+        for spec in &specs {
+            if !groups.contains(&(spec.l1, spec.seed)) {
+                groups.push((spec.l1, spec.seed));
+            }
+        }
+        let trace_config = &specs[0].trace;
+        let splits = trace_config.flush_between_segments && trace_config.segments > 1;
+        let expected: Vec<String> = specs.iter().map(sequential).collect();
+        for threads in [1usize, 2, 16] {
+            let (outcomes, trace) = simulate_many_traced_with_threads(&specs, threads);
+            for (i, out) in outcomes.iter().enumerate() {
+                prop_assert_eq!(&fingerprint(out), &expected[i], "spec {}", i);
+            }
+            assert_tracks_well_formed(&trace);
+            let shard_sum = |counter: &str| -> u64 {
+                trace
+                    .with_cat("shard")
+                    .filter_map(|s| s.counter(counter))
+                    .sum()
+            };
+            let total = |f: fn(&RunOutcome) -> u64| -> u64 { outcomes.iter().map(f).sum() };
+            prop_assert_eq!(shard_sum("refs"), total(|o| o.hierarchy.processor_refs));
+            prop_assert_eq!(shard_sum("read_ins"), total(|o| o.hierarchy.read_ins));
+            prop_assert_eq!(shard_sum("read_in_hits"), total(|o| o.hierarchy.read_in_hits));
+            prop_assert_eq!(shard_sum("write_backs"), total(|o| o.hierarchy.write_backs));
+            prop_assert_eq!(shard_sum("probes"), total(outcome_probes));
+            let shards = trace.with_cat("shard").count();
+            if splits {
+                prop_assert_eq!(shards, groups.len() * trace_config.segments);
+            } else {
+                prop_assert_eq!(shards, groups.len());
+            }
         }
     }
 
