@@ -139,6 +139,9 @@ fn parse_args() -> Result<Options, String> {
                 if !opts.assoc.is_power_of_two() {
                     return Err("--assoc must be a power of two".into());
                 }
+                if opts.assoc as usize > seta_core::MAX_ASSOC {
+                    return Err(format!("--assoc must be at most {}", seta_core::MAX_ASSOC));
+                }
             }
             "--metrics" => {
                 opts.metrics = Some(args.next().ok_or("--metrics needs a path")?);

@@ -415,6 +415,9 @@ fn explain_cmd(mut args: impl Iterator<Item = String>) -> Result<(), String> {
     if !assoc.is_power_of_two() {
         return Err("--assoc must be a power of two".into());
     }
+    if assoc as usize > seta_core::MAX_ASSOC {
+        return Err(format!("--assoc must be at most {}", seta_core::MAX_ASSOC));
+    }
     if sample_every == 0 {
         return Err("--sample-every must be positive".into());
     }

@@ -165,6 +165,19 @@ fn trace_tool_explain_rejects_non_power_of_two_assoc() {
 }
 
 #[test]
+fn assoc_wider_than_a_valid_mask_is_rejected() {
+    for out in [
+        trace_tool(&["explain", tiny_trace(), "--assoc", "64"]),
+        paper_tables(&["run", "--scale", "100", "--assoc", "64"]),
+        paper_tables(&["bench-serve", "--assoc", "64"]),
+    ] {
+        assert!(!out.status.success());
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains("--assoc must be at most 32"), "{err}");
+    }
+}
+
+#[test]
 fn trace_tool_version_succeeds() {
     let out = trace_tool(&["--version"]);
     assert!(out.status.success());

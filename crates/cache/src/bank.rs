@@ -89,6 +89,26 @@ impl<'a> SetFrames<'a> {
         self.tags
     }
 
+    /// Bit `w` set iff way `w` holds a block: the valid bits as the
+    /// pricer and [`SetView`](seta_core::SetView) take them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the set has more than [`MAX_ASSOC`](seta_core::MAX_ASSOC)
+    /// ways, which a `u32` cannot hold.
+    #[inline]
+    pub fn valid_mask(&self) -> u32 {
+        assert!(
+            self.flags.len() <= seta_core::MAX_ASSOC,
+            "a {}-way set has no valid mask",
+            self.flags.len()
+        );
+        self.flags
+            .iter()
+            .enumerate()
+            .fold(0, |m, (w, &f)| m | u32::from(f & VALID) << w)
+    }
+
     /// The way holding `tag`, if it holds it validly.
     #[inline]
     pub fn position(&self, tag: u64) -> Option<usize> {
@@ -419,6 +439,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "a 64-way set has no valid mask")]
+    fn a_set_wider_than_a_valid_mask_is_refused() {
+        SetBank::new(1, 64, Policy::Lru, 0).frames(0).valid_mask();
+    }
+
+    #[test]
     fn lanes_reject_wrong_assoc() {
         use seta_core::lookup::TransformKind;
         let mut b = bank();
@@ -445,6 +471,7 @@ mod tests {
         assert_eq!(f.tags(), &[0x7, 0]);
         assert_eq!(f.position(0x7), Some(0));
         assert_eq!(f.position(0), None, "an empty way's tag never matches");
+        assert_eq!(f.valid_mask(), 0b01);
         assert_eq!(
             format!("{f:?}"),
             format!("{:?}", f.iter().collect::<Vec<_>>())

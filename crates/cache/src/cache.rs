@@ -83,8 +83,9 @@ impl Cache {
     }
 
     /// Starts maintaining packed tag lanes under `spec`, so partial-compare
-    /// lookups against this cache can use the precomputed SWAR form
-    /// ([`seta_core::lookup::PartialCompare::lookup_packed`]). Returns
+    /// pricing and lookups against this cache can use the precomputed SWAR
+    /// form ([`seta_core::StrategyKind::price`],
+    /// [`seta_core::lookup::PartialCompare::lookup_packed`]). Returns
     /// `false` (and maintains nothing) if `spec`'s associativity does not
     /// match this cache's. The lanes are (re)built from the current frame
     /// tags, so this can be enabled mid-run.

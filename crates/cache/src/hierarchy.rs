@@ -26,6 +26,7 @@ use crate::cache::Cache;
 use crate::config::CacheConfig;
 use crate::stats::CacheStats;
 use serde::{Deserialize, Serialize};
+use seta_core::PricedSet;
 use seta_trace::{TraceEvent, TraceRecord};
 
 /// The kind of a level-two request.
@@ -75,10 +76,29 @@ pub struct L2RequestView<'a> {
     /// where the block resides. `None` for read-ins.
     pub hint_correct: Option<bool>,
     /// The target set's packed tag lanes (pre-access), when the cache
-    /// maintains them (see [`Cache::enable_partial_lanes`]). Lets
-    /// partial-compare scorers skip per-lookup packing via
-    /// [`seta_core::lookup::PartialCompare::lookup_packed`].
+    /// maintains them (see [`Cache::enable_partial_lanes`]). Lets the
+    /// partial-compare pricer skip per-request packing (see
+    /// [`seta_core::StrategyKind::price`]).
     pub lanes: Option<seta_core::packed::LaneView<'a>>,
+}
+
+impl L2RequestView<'_> {
+    /// The request as the pricer reads it: the hit facts and the borrowed
+    /// pre-access set, with no copy (see [`StrategyKind::price`]).
+    ///
+    /// [`StrategyKind::price`]: seta_core::StrategyKind::price
+    #[inline]
+    pub fn priced(&self) -> PricedSet<'_> {
+        PricedSet {
+            tag: self.tag,
+            hit_way: self.hit_way,
+            mru_distance: self.mru_distance,
+            tags: self.frames.tags(),
+            valid: self.frames.valid_mask(),
+            order: self.order,
+            lanes: self.lanes,
+        }
+    }
 }
 
 /// Receives every level-two request during a simulation.

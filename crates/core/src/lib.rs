@@ -66,7 +66,7 @@ pub mod timing;
 pub mod transform;
 
 pub use dist::MruDistanceHistogram;
-pub use lookup::{Lookup, LookupStrategy, StrategyKind};
+pub use lookup::{Lookup, LookupStrategy, PricedSet, StrategyKind};
 pub use observe::ProbeObserver;
 pub use packed::{LaneSpec, LaneView, PackedLanes};
 pub use probe::{ProbeStats, Tally};
@@ -100,6 +100,7 @@ mod concurrency_audit {
     #[test]
     fn lookup_inputs_and_outputs_are_send_and_sync() {
         assert_send_sync::<SetView>();
+        assert_send_sync::<PricedSet<'static>>();
         assert_send_sync::<Lookup>();
         assert_send_sync::<LaneSpec>();
         assert_send_sync::<PackedLanes>();

@@ -7,7 +7,7 @@
 //! `b` stored tags per probe, so a set of `a` ways is searched in groups
 //! of `b` — `⌈a/b⌉` probes on a miss instead of `a`.
 
-use crate::lookup::{Lookup, LookupStrategy};
+use crate::lookup::{Lookup, LookupStrategy, StrategyKind};
 use crate::observe::ProbeObserver;
 use crate::set_view::SetView;
 
@@ -122,59 +122,24 @@ impl Banked {
 }
 
 impl LookupStrategy for Banked {
-    // `(total + b - 1) / b` beats `div_ceil` here: the bench guard
-    // measures ~5 ns/access more for the div_ceil form on the miss path
-    // (its extra remainder + branch defeats the single-division codegen).
-    #[allow(clippy::manual_div_ceil)]
     #[inline]
     fn lookup(&self, view: &SetView, tag: u64) -> Lookup {
-        // Fast path on the whole-set equality bitmask: a frame-order scan
-        // reduces to ctz/division, an MRU-order scan to the first order
-        // entry whose mask bit is set. `search` stays as the scalar
-        // reference behind `lookup_observed`.
-        let total = view.ways() as u32;
-        if total == 1 {
-            return Lookup {
-                hit_way: view.matching_way(tag),
-                probes: 1,
-            };
-        }
+        // Fast path: the whole-set equality bitmask finds the hit — its
+        // lowest set bit in frame order, its first order entry in MRU
+        // order — and the pricer counts the probes. `search` stays as the
+        // scalar reference behind `lookup_observed`.
         let m = view.eq_mask(tag);
-        let b = self.banks;
-        match self.order {
-            ScanOrder::Frame => {
-                if m == 0 {
-                    Lookup {
-                        hit_way: None,
-                        probes: (total + b - 1) / b,
-                    }
-                } else {
-                    let w = m.trailing_zeros();
-                    Lookup {
-                        hit_way: Some(w as u8),
-                        probes: w / b + 1,
-                    }
-                }
-            }
+        let (hit_way, mru_distance) = match self.order {
+            ScanOrder::Frame => ((m != 0).then(|| m.trailing_zeros() as u8), None),
             ScanOrder::Mru => {
-                let mut result = Lookup {
-                    hit_way: None,
-                    probes: 1 + (total + b - 1) / b,
-                };
-                if m != 0 {
-                    for (visited, &w) in view.order().iter().enumerate() {
-                        if (m >> w) & 1 != 0 {
-                            result = Lookup {
-                                hit_way: Some(w),
-                                probes: 1 + visited as u32 / b + 1,
-                            };
-                            break;
-                        }
-                    }
-                }
-                result
+                let order = view.order();
+                let d = (m != 0)
+                    .then(|| order.iter().position(|&w| m >> w & 1 != 0))
+                    .flatten();
+                (d.map(|d| order[d]), d)
             }
-        }
+        };
+        StrategyKind::Banked(*self).priced_lookup(view, tag, hit_way, mru_distance)
     }
 
     fn lookup_observed(&self, view: &SetView, tag: u64, obs: &mut dyn ProbeObserver) -> Lookup {
@@ -190,7 +155,7 @@ impl LookupStrategy for Banked {
     }
 
     fn kind(&self) -> Option<crate::lookup::StrategyKind> {
-        Some(crate::lookup::StrategyKind::Banked(*self))
+        Some(StrategyKind::Banked(*self))
     }
 }
 

@@ -22,17 +22,25 @@
 //!
 //! A one-way set is a direct-mapped lookup; every strategy prices it at
 //! one probe, which is where the curves of Figure 3 converge.
+//!
+//! A cache that already knows where the block sits prices every strategy
+//! with [`StrategyKind::price`], Table 1's closed forms over a
+//! [`PricedSet`], instead of running the searches. The serial searches
+//! stay: they emit the per-probe events behind each count and are the
+//! pricer's differential oracle.
 
 mod banked;
 mod mru;
 mod naive;
 mod partial;
+mod price;
 mod traditional;
 
 pub use banked::{Banked, ScanOrder};
 pub use mru::Mru;
 pub use naive::Naive;
 pub use partial::{PartialCompare, TransformKind};
+pub use price::PricedSet;
 pub use traditional::Traditional;
 
 use crate::observe::ProbeObserver;

@@ -1,6 +1,6 @@
 //! The MRU-ordered serial implementation.
 
-use crate::lookup::{Lookup, LookupStrategy};
+use crate::lookup::{Lookup, LookupStrategy, StrategyKind};
 use crate::observe::ProbeObserver;
 use crate::set_view::SetView;
 
@@ -101,51 +101,17 @@ impl Mru {
 
 impl LookupStrategy for Mru {
     fn lookup(&self, view: &SetView, tag: u64) -> Lookup {
-        // Branchless fast path: one whole-set equality bitmask, then the
-        // scan position falls out of mask arithmetic — the listed prefix
-        // is walked for a position, the unlisted tail's position is the
-        // hit's rank among unlisted ways. `search` stays as the scalar
+        // Fast path: one whole-set equality bitmask finds the hit, its
+        // position in the recency order is the MRU distance, and the
+        // pricer counts the probes. `search` stays as the scalar
         // reference behind `lookup_observed`.
-        let ways = view.ways();
-        if ways == 1 {
-            return Lookup {
-                hit_way: view.matching_way(tag),
-                probes: 1,
-            };
-        }
         let m = view.eq_mask(tag);
-        if m == 0 {
-            return Lookup {
-                hit_way: None,
-                probes: ways as u32 + 1,
-            };
-        }
         let order = view.order();
-        let listed = self.list_len.unwrap_or(ways).min(ways);
-        // Listed hits return as soon as they are found — temporal locality
-        // puts most hits at the first list positions, so this loop usually
-        // runs once or twice. The prefix mask is only consulted by the
-        // tail rank below, which is only reached when the loop completed
-        // without a hit, so breaking early never leaves it incomplete.
-        let mut prefix = 0u32;
-        for (pos, &w) in order[..listed].iter().enumerate() {
-            if (m >> w) & 1 != 0 {
-                return Lookup {
-                    hit_way: Some(w),
-                    probes: 1 + pos as u32 + 1,
-                };
-            }
-            prefix |= 1 << w;
-        }
-        // The hit is in the unlisted tail, which is scanned in ascending
-        // frame order after the `listed` list entries.
-        let w = (m & !prefix).trailing_zeros();
-        let full = u32::MAX >> (32 - ways as u32);
-        let unlisted_before = (!prefix & full & ((1u32 << w) - 1)).count_ones();
-        Lookup {
-            hit_way: Some(w as u8),
-            probes: 1 + listed as u32 + unlisted_before + 1,
-        }
+        let mru_distance = (m != 0)
+            .then(|| order.iter().position(|&w| m >> w & 1 != 0))
+            .flatten();
+        let hit_way = mru_distance.map(|d| order[d]);
+        StrategyKind::Mru(*self).priced_lookup(view, tag, hit_way, mru_distance)
     }
 
     fn lookup_observed(&self, view: &SetView, tag: u64, obs: &mut dyn ProbeObserver) -> Lookup {
@@ -164,7 +130,7 @@ impl LookupStrategy for Mru {
     }
 
     fn kind(&self) -> Option<crate::lookup::StrategyKind> {
-        Some(crate::lookup::StrategyKind::Mru(*self))
+        Some(StrategyKind::Mru(*self))
     }
 }
 

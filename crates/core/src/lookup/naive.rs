@@ -1,6 +1,6 @@
 //! The naive serial implementation.
 
-use crate::lookup::{Lookup, LookupStrategy};
+use crate::lookup::{Lookup, LookupStrategy, StrategyKind};
 use crate::observe::ProbeObserver;
 use crate::set_view::SetView;
 
@@ -47,20 +47,12 @@ impl LookupStrategy for Naive {
         // An early-exit frame-order scan beats a whole-set equality mask
         // here: hits cluster at low scan positions, so the serial loop
         // touches ~half the ways on average while the mask always pays
-        // for all of them. The scalar `search` stays the observed
-        // reference; this is the same walk minus the observer calls.
-        for w in 0..view.ways() {
-            if view.is_valid(w) && view.tag(w) == tag {
-                return Lookup {
-                    hit_way: Some(w as u8),
-                    probes: w as u32 + 1,
-                };
-            }
-        }
-        Lookup {
-            hit_way: None,
-            probes: view.ways() as u32,
-        }
+        // for all of them. It only finds the hit; the pricer counts the
+        // probes. The scalar `search` stays the observed reference.
+        let hit_way = (0..view.ways())
+            .find(|&w| view.is_valid(w) && view.tag(w) == tag)
+            .map(|w| w as u8);
+        StrategyKind::Naive(*self).priced_lookup(view, tag, hit_way, None)
     }
 
     fn lookup_observed(&self, view: &SetView, tag: u64, obs: &mut dyn ProbeObserver) -> Lookup {
@@ -76,7 +68,7 @@ impl LookupStrategy for Naive {
     }
 
     fn kind(&self) -> Option<crate::lookup::StrategyKind> {
-        Some(crate::lookup::StrategyKind::Naive(*self))
+        Some(StrategyKind::Naive(*self))
     }
 }
 

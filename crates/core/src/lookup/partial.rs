@@ -3,7 +3,7 @@
 use crate::lookup::{Lookup, LookupStrategy};
 use crate::observe::ProbeObserver;
 use crate::packed::{LaneCodec, LaneSpec, LaneView};
-use crate::set_view::SetView;
+use crate::set_view::{SetView, MAX_ASSOC};
 use crate::transform::{tag_mask, Improved, TagTransform, XorFold};
 
 /// Which tag transformation a [`PartialCompare`] applies (Figure 6).
@@ -214,25 +214,29 @@ impl PartialCompare {
                 probes: 1,
             };
         }
-        let k = self.k_for(ways); // same panics as the scalar path
-        let n = ways as u32 / self.subsets;
-        let codec = LaneCodec::new(self.tag_bits, k, n, self.transform);
-        let tags = view.tags();
-        let mut words = [0u64; crate::set_view::MAX_ASSOC];
-        for (subset, word) in words[..self.subsets as usize].iter_mut().enumerate() {
-            let base = subset * n as usize;
-            let mut packed = 0u64;
-            for slot in 0..n as usize {
-                packed |= codec.store_field(tags[base + slot], slot as u32);
-            }
-            *word = packed;
-        }
+        let (codec, words) = self.pack(view.tags());
         codec.swar_lookup(
             &words[..self.subsets as usize],
-            tags,
+            view.tags(),
             view.valid_mask(),
             tag,
         )
+    }
+
+    /// The codec and lane words of a set holding `tags`, packed on the
+    /// spot: the step-one input when no maintained lanes match this
+    /// geometry. The first `subsets` words are the set's.
+    pub(crate) fn pack(&self, tags: &[u64]) -> (LaneCodec, [u64; MAX_ASSOC]) {
+        let k = self.k_for(tags.len()); // same panics as the scalar path
+        let n = tags.len() as u32 / self.subsets;
+        let codec = LaneCodec::new(self.tag_bits, k, n, self.transform);
+        let mut words = [0u64; MAX_ASSOC];
+        for (word, tags) in words.iter_mut().zip(tags.chunks_exact(n as usize)) {
+            *word = (0..)
+                .zip(tags)
+                .fold(0, |w, (slot, &tag)| w | codec.store_field(tag, slot));
+        }
+        (codec, words)
     }
 
     /// [`lookup`](LookupStrategy::lookup) against lane words a cache keeps

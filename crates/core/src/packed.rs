@@ -204,6 +204,29 @@ impl LaneCodec {
         ((bit_pos as u64 * self.slot_recip) >> 16) as u32
     }
 
+    /// Step one as a way bitmask: bit `subset·n + slot` set iff that
+    /// slot's packed slice equals the incoming tag's and its way is valid,
+    /// over the subsets up to the one holding way `through`. A stale slice
+    /// of an invalid way is dropped here, as the scalar walk skips invalid
+    /// ways.
+    #[inline]
+    pub(crate) fn candidates(&self, words: &[u64], valid: u32, tag: u64, through: u32) -> u32 {
+        let incoming = self.encode_incoming(tag);
+        let mut ways = 0u32;
+        for (subset, &word) in words.iter().enumerate() {
+            let base = subset as u32 * self.per_subset;
+            if base > through {
+                break;
+            }
+            let mut m = self.match_mask(word, incoming);
+            while m != 0 {
+                ways |= 1 << (base + self.slot_of(m.trailing_zeros()));
+                m &= m - 1;
+            }
+        }
+        ways & valid
+    }
+
     /// The SWAR lookup over caller-maintained lane words: step one is one
     /// [`match_mask`](Self::match_mask) per subset word, step two serially
     /// full-compares the flagged slots in ascending order — probe- and

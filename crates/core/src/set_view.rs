@@ -61,44 +61,42 @@ impl SetView {
             assert!(!seen[w as usize], "order repeats way {w}");
             seen[w as usize] = true;
         }
-        Self::build(tags, valid, order)
+        let mask = valid
+            .iter()
+            .enumerate()
+            .fold(0, |m, (w, &v)| m | u32::from(v) << w);
+        Self::build(tags, mask, order)
     }
 
-    /// [`from_parts`](Self::from_parts) for callers that already guarantee
-    /// the invariants — equal slice lengths in `1..=MAX_ASSOC` and `order`
-    /// a permutation of the ways — such as a simulator snapshotting a
-    /// well-formed cache set on every access. Skips the permutation
-    /// validation on release builds (it is O(ways) of branching per cache
-    /// access, pure overhead on the lookup hot path); debug builds still
+    /// A view of a set whose valid bits are already a bitmask (bit `w` set
+    /// iff way `w` holds a block), for callers that guarantee the
+    /// invariants: `tags` and `order` of equal length in `1..=MAX_ASSOC`,
+    /// `order` a permutation of the ways, and no bit of `valid` at or
+    /// above the way count. A cache's set store meets them on every
+    /// access. Release builds skip the O(ways) validation; debug builds
     /// check everything.
-    pub fn from_trusted_parts(tags: &[u64], valid: &[bool], order: &[u8]) -> Self {
+    pub fn from_valid_mask(tags: &[u64], valid: u32, order: &[u8]) -> Self {
         #[cfg(debug_assertions)]
         {
-            Self::from_parts(tags, valid, order)
+            let bools: Vec<bool> = (0..tags.len()).map(|w| valid >> w & 1 == 1).collect();
+            let checked = Self::from_parts(tags, &bools, order);
+            assert_eq!(checked.valid, valid, "valid mask names ways past the set");
         }
-        #[cfg(not(debug_assertions))]
-        {
-            Self::build(tags, valid, order)
-        }
+        Self::build(tags, valid, order)
     }
 
     /// Shared constructor body; callers have validated (or vouch for) the
     /// invariants. The slice copies still bound-check `ways`.
-    fn build(tags: &[u64], valid: &[bool], order: &[u8]) -> Self {
+    fn build(tags: &[u64], valid: u32, order: &[u8]) -> Self {
         let ways = tags.len();
         let mut view = SetView {
             ways: ways as u8,
             tags: [0; MAX_ASSOC],
-            valid: 0,
+            valid,
             order: [0; MAX_ASSOC],
         };
         view.tags[..ways].copy_from_slice(tags);
         view.order[..ways].copy_from_slice(order);
-        for (w, &v) in valid.iter().enumerate() {
-            if v {
-                view.valid |= 1 << w;
-            }
-        }
         view
     }
 
@@ -248,17 +246,18 @@ mod tests {
     }
 
     #[test]
-    fn trusted_parts_match_checked_constructor() {
+    fn valid_mask_constructor_matches_checked_constructor() {
         let tags = [1u64, 2, 3, 4];
         let valid = [true, false, true, true];
         let order = [3u8, 1, 0, 2];
         let checked = SetView::from_parts(&tags, &valid, &order);
-        let trusted = SetView::from_trusted_parts(&tags, &valid, &order);
-        assert_eq!(checked.ways(), trusted.ways());
-        assert_eq!(checked.order(), trusted.order());
+        let masked = SetView::from_valid_mask(&tags, 0b1101, &order);
+        assert_eq!(checked.ways(), masked.ways());
+        assert_eq!(checked.order(), masked.order());
+        assert_eq!(checked.valid_mask(), masked.valid_mask());
         for w in 0..4 {
-            assert_eq!(checked.is_valid(w), trusted.is_valid(w));
-            assert_eq!(checked.tag(w), trusted.tag(w));
+            assert_eq!(checked.is_valid(w), masked.is_valid(w));
+            assert_eq!(checked.tag(w), masked.tag(w));
         }
     }
 

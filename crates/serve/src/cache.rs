@@ -8,13 +8,13 @@
 //! this repo's core: the set-local state is the same [`SetBank`] the
 //! sequential [`Cache`](seta_cache::Cache) uses, partitioned into
 //! contiguous stripes, each behind its own [`Mutex`]. Lookup *cost* is
-//! priced the same way the sweep runner prices it — a [`StrategyKind`]
-//! dispatched against the pre-access [`SetView`], with the packed-lane
-//! fast path when the bank maintains lanes matching the strategy's spec.
+//! priced by the same closed forms the sweep runner uses
+//! ([`StrategyKind::price`]), from what the bank's access reports — the
+//! hit way and MRU distance — so the critical section is the set access
+//! and no set snapshot.
 
 use seta_cache::{AddressMapper, CacheConfig, CacheStats, Policy, SetBank};
-use seta_core::packed::LaneSpec;
-use seta_core::{ProbeStats, SetView, StrategyKind};
+use seta_core::{PricedSet, ProbeStats, StrategyKind, MAX_ASSOC};
 use seta_obs::{ContentionObserver, NoContention};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -36,13 +36,11 @@ pub struct Response {
 }
 
 /// One stripe: a contiguous range of sets behind one lock, with its own
-/// probe accounting and a scratch buffer for valid bits so requests never
-/// allocate (the tags are borrowed from the bank).
+/// probe accounting.
 #[derive(Debug)]
 struct Stripe {
     bank: SetBank,
     probes: ProbeStats,
-    valid_buf: Vec<bool>,
 }
 
 /// A sharded concurrent set-associative write-back cache.
@@ -77,9 +75,9 @@ pub struct ConcurrentCache {
     config: CacheConfig,
     mapper: AddressMapper,
     strategy: StrategyKind,
-    /// `Some` when every stripe maintains packed lanes under this spec and
-    /// the strategy is a partial compare — gates the `lookup_packed` path.
-    lane_spec: Option<LaneSpec>,
+    /// Whether pricing a read-in reads the set's contents before the
+    /// access (see [`StrategyKind::scans`]).
+    scans: bool,
     sets_per_stripe: u64,
     stripes: Vec<Mutex<Stripe>>,
 }
@@ -91,9 +89,18 @@ impl ConcurrentCache {
     /// number of sets. Partial-compare strategies with a realizable lane
     /// spec get packed lanes maintained automatically, exactly like
     /// [`simulate`](seta_sim::runner::simulate) does for the sweep.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` has more than [`MAX_ASSOC`] ways: the lookups
+    /// are defined over sets of at most that many.
     pub fn new(config: CacheConfig, strategy: StrategyKind, stripes: usize) -> Self {
         let num_sets = config.num_sets();
         let assoc = config.associativity() as usize;
+        assert!(
+            assoc <= MAX_ASSOC,
+            "lookups price sets of at most {MAX_ASSOC} ways, not {assoc}"
+        );
         let stripes = Self::effective_stripes(&config, stripes) as u64;
         let sets_per_stripe = num_sets / stripes;
         let lane_spec = match strategy {
@@ -109,7 +116,6 @@ impl ConcurrentCache {
                 Mutex::new(Stripe {
                     bank,
                     probes: ProbeStats::new(),
-                    valid_buf: vec![false; assoc],
                 })
             })
             .collect();
@@ -117,7 +123,7 @@ impl ConcurrentCache {
             config,
             mapper: AddressMapper::new(config.block_size(), num_sets),
             strategy,
-            lane_spec,
+            scans: strategy.scans(assoc),
             sets_per_stripe,
             stripes: stripe_vec,
         }
@@ -212,39 +218,63 @@ impl ConcurrentCache {
         };
         let stripe = &mut *guard;
 
-        // Snapshot the pre-access set state and price the lookup exactly
-        // like the sweep scorer: monomorphized StrategyKind dispatch, with
-        // the packed-lane fast path when the bank maintains matching lanes.
-        let frames = stripe.bank.frames(local);
-        for (v, f) in stripe.valid_buf.iter_mut().zip(frames.iter()) {
-            *v = f.valid;
-        }
-        let view =
-            SetView::from_trusted_parts(frames.tags(), &stripe.valid_buf, stripe.bank.order(local));
-        let lookup = match (&self.strategy, stripe.bank.lane_view(local)) {
-            (StrategyKind::Partial(p), Some(l)) if self.lane_spec == Some(l.spec()) => {
-                p.lookup_packed(&view, &l, tag)
-            }
-            (k, _) => k.lookup(&view, tag),
+        // Write-backs cost no probes under the write-back optimization,
+        // so they skip pricing. A read-in's price follows from the hit way
+        // and MRU distance the access reports; only a partial compare's
+        // step one and a truncated MRU list read the set's contents, and
+        // they read them here, before the access changes them.
+        let scanned = if self.scans && !is_write_back {
+            let frames = stripe.bank.frames(local);
+            self.strategy.scan(&PricedSet {
+                tag,
+                hit_way: None,
+                mru_distance: None,
+                tags: frames.tags(),
+                valid: frames.valid_mask(),
+                order: stripe.bank.order(local),
+                lanes: stripe.bank.lane_view(local),
+            })
+        } else {
+            0
         };
+        // Debug builds also run the serial search on the pre-access set,
+        // the pricer's oracle, and check the price against it below.
+        #[cfg(debug_assertions)]
+        let serial = (!is_write_back).then(|| {
+            let frames = stripe.bank.frames(local);
+            let order = stripe.bank.order(local);
+            let view =
+                seta_core::SetView::from_valid_mask(frames.tags(), frames.valid_mask(), order);
+            self.strategy.lookup_observed(&view, tag, &mut ())
+        });
 
         let r = stripe.bank.access(local, tag, is_write_back);
-        debug_assert_eq!(
-            lookup.hit_way.is_some(),
-            r.hit,
-            "strategy disagrees with bank"
-        );
-        if is_write_back {
+        let probes = if is_write_back {
             stripe.probes.record_write_back(0);
-        } else if r.hit {
-            stripe.probes.record_hit(lookup.probes);
+            0
         } else {
-            stripe.probes.record_miss(lookup.probes);
-        }
+            let hit_way = r.hit.then_some(r.way);
+            let probes =
+                self.strategy
+                    .price_scanned(stripe.bank.assoc(), hit_way, r.mru_distance, scanned);
+            #[cfg(debug_assertions)]
+            assert_eq!(
+                serial,
+                Some(seta_core::Lookup { hit_way, probes }),
+                "{} priced a read-in unlike its serial search",
+                self.strategy.name()
+            );
+            if r.hit {
+                stripe.probes.record_hit(probes);
+            } else {
+                stripe.probes.record_miss(probes);
+            }
+            probes
+        };
         let response = Response {
             hit: r.hit,
             way: r.way,
-            probes: if is_write_back { 0 } else { lookup.probes },
+            probes,
             evicted_dirty: r.evicted.is_some_and(|(_, dirty)| dirty),
             stripe: stripe_idx,
         };
@@ -354,6 +384,16 @@ mod tests {
     fn shared_reference_is_send_and_sync() {
         assert_send_sync::<ConcurrentCache>();
         assert_send_sync::<&ConcurrentCache>();
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 32 ways, not 64")]
+    fn a_set_wider_than_max_assoc_is_refused() {
+        ConcurrentCache::new(
+            CacheConfig::new(64 * 64 * 16, 16, 64).unwrap(),
+            StrategyKind::Mru(Mru::truncated(4)),
+            2,
+        );
     }
 
     #[test]
@@ -479,7 +519,9 @@ mod tests {
         use seta_core::lookup::{PartialCompare, TransformKind};
         let strategy = StrategyKind::Partial(PartialCompare::new(16, 2, TransformKind::XorFold));
         let packed = ConcurrentCache::new(CacheConfig::new(512, 16, 2).unwrap(), strategy, 4);
-        assert!(packed.lane_spec.is_some(), "lanes maintained for partial");
+        assert!(packed.scans, "partial compare reads the set before access");
+        let bank_spec = packed.stripes[0].lock().unwrap().bank.lane_spec();
+        assert!(bank_spec.is_some(), "lanes maintained for partial");
         // Same probe pricing as an unpacked reference? The packed path is
         // an internal fast path; contents and probes must match a cache
         // whose bank happens not to maintain lanes (simulated by Mru for

@@ -5,7 +5,7 @@
 //!
 //! 1. **Sequential identity** — a 1-thread replay of the bundled Dinero
 //!    trace produces shared-cache statistics bit-identical to sequential
-//!    [`simulate`], probes included.
+//!    [`simulate`], probes included, for every kind of lookup strategy.
 //! 2. **Disjoint-key occupancy** — when chunks touch disjoint sets, an
 //!    N-thread replay leaves exactly the per-set occupancy (and resident
 //!    blocks) of a sequential replay.
@@ -14,7 +14,9 @@
 
 use proptest::prelude::*;
 use seta_cache::CacheConfig;
-use seta_core::lookup::Mru;
+use seta_core::lookup::{
+    Banked, LookupStrategy, Mru, Naive, PartialCompare, ScanOrder, Traditional, TransformKind,
+};
 use seta_core::StrategyKind;
 use seta_serve::loadgen::replay_with_cache;
 use seta_serve::{replay, LoadSpec};
@@ -58,6 +60,56 @@ fn one_thread_replay_is_bit_identical_to_sequential_simulate() {
         served.l2_probes, sequential.strategies[0].probes,
         "probe pricing matches the sweep scorer"
     );
+}
+
+/// The strategy behind `kind`, boxed the way `simulate` takes it.
+fn boxed(kind: StrategyKind) -> Box<dyn LookupStrategy> {
+    match kind {
+        StrategyKind::Traditional(s) => Box::new(s),
+        StrategyKind::Naive(s) => Box::new(s),
+        StrategyKind::Mru(s) => Box::new(s),
+        StrategyKind::Partial(s) => Box::new(s),
+        StrategyKind::Banked(s) => Box::new(s),
+    }
+}
+
+/// Serve prices a read-in from what the bank's access reports, plus the
+/// set contents that partial compare and truncated MRU lists read before
+/// it; `simulate` prices from the hierarchy's request view. A 1-client
+/// replay must book exactly `simulate`'s probes for every kind, so the two
+/// inputs cannot drift apart.
+#[test]
+fn one_thread_replay_prices_every_kind_like_simulate() {
+    let kinds = [
+        StrategyKind::Traditional(Traditional),
+        StrategyKind::Naive(Naive),
+        StrategyKind::Mru(Mru::full()),
+        StrategyKind::Mru(Mru::truncated(2)),
+        // `simulate` keeps packed lanes for the first partial compare only,
+        // so the other two are priced from tags it packs per request; the
+        // served cache keeps lanes for whichever one it runs.
+        StrategyKind::Partial(PartialCompare::new(16, 1, TransformKind::XorFold)),
+        StrategyKind::Partial(PartialCompare::new(16, 2, TransformKind::Improved)),
+        StrategyKind::Partial(PartialCompare::new(32, 1, TransformKind::Swap)),
+        StrategyKind::Banked(Banked::new(2, ScanOrder::Frame)),
+        StrategyKind::Banked(Banked::new(2, ScanOrder::Mru)),
+    ];
+    let strategies: Vec<Box<dyn LookupStrategy>> = kinds.iter().map(|&k| boxed(k)).collect();
+    let events = tiny_events();
+    let l1 = CacheConfig::direct_mapped(4 * 1024, 16).unwrap();
+    for assoc in [4, 8] {
+        let l2 = CacheConfig::new(64 * 1024, 32, assoc).unwrap();
+        let sequential = simulate(l1, l2, events.iter().cloned(), &strategies);
+        for (kind, expected) in kinds.iter().zip(&sequential.strategies) {
+            let served = replay(&events, 1, &LoadSpec::new(l1, l2, *kind));
+            assert_eq!(served.l2_stats, sequential.l2_stats, "{}", expected.name);
+            assert_eq!(
+                served.l2_probes, expected.probes,
+                "{} at a = {assoc}",
+                expected.name
+            );
+        }
+    }
 }
 
 #[test]

@@ -11,6 +11,10 @@
 //!
 //! * reconciles the event totals against the run's `ProbeStats` — the
 //!   books must balance exactly, split by read-in vs write-back;
+//! * counts the requests on which a strategy's serial search and its
+//!   closed-form [`price`](seta_core::StrategyKind::price) disagree — the
+//!   pricer `simulate` books from, checked against its oracle on every
+//!   request; the count must be 0;
 //! * derives the measured MRU-distance distribution `fᵢ` and checks the
 //!   MRU strategy's measured hit cost against the paper's
 //!   `1 + Σ i·fᵢ` formula to 1e-9;
@@ -27,10 +31,10 @@
 //! The report renders as human-readable text ([`ExplainReport::render`])
 //! or as a typed JSONL artifact ([`ExplainReport::write_jsonl`]).
 
-use crate::runner::{assemble_outcome, RunOutcome, Scorer};
+use crate::runner::{assemble_outcome, partial_lane_spec, RunOutcome, Scorer};
 use serde::{Deserialize, Serialize};
 use seta_cache::{CacheConfig, L2Observer, L2RequestKind, L2RequestView, TwoLevel};
-use seta_core::lookup::{LookupStrategy, StrategyKind};
+use seta_core::lookup::LookupStrategy;
 use seta_core::{model, ProbeObserver};
 use seta_obs::{
     EventRing, PositionHistogram, ProbeEvent, SetHeatmap, SpanBuffer, SpanClock, SpanTrace,
@@ -485,14 +489,14 @@ impl ProbeObserver for ProbeRecorder {
 /// The instrumented observer: the plain [`Scorer`] plus event recording.
 struct Explainer<'a> {
     scorer: Scorer<'a>,
-    /// Monomorphized dispatch for the observed (scalar-reference) path:
-    /// built-ins resolve once so the per-access loop skips the vtable,
-    /// while routing through exactly the same retained scalar search — the
-    /// event stream is unchanged.
-    kinds: Vec<Option<StrategyKind>>,
     recorders: Vec<ProbeRecorder>,
     /// Per-strategy (read-in, write-back) event totals.
     totals: Vec<(ProbeBreakdown, ProbeBreakdown)>,
+    /// Per-strategy requests on which the serial lookup and
+    /// [`StrategyKind::price`](seta_core::StrategyKind::price) disagree
+    /// on the probe count. Always 0 for a strategy outside `seta-core`,
+    /// which has no closed form.
+    price_mismatches: Vec<u64>,
     ring: EventRing,
     heatmap: SetHeatmap,
     positions: PositionHistogram,
@@ -503,12 +507,12 @@ impl<'a> Explainer<'a> {
     fn new(strategies: &'a [Box<dyn LookupStrategy>], assoc: u32, cfg: &ExplainConfig) -> Self {
         Explainer {
             scorer: Scorer::new(strategies, assoc),
-            kinds: strategies.iter().map(|s| s.kind()).collect(),
             recorders: strategies
                 .iter()
                 .map(|_| ProbeRecorder::default())
                 .collect(),
             totals: vec![Default::default(); strategies.len()],
+            price_mismatches: vec![0; strategies.len()],
             ring: EventRing::new(cfg.ring_capacity, cfg.sample_every),
             heatmap: SetHeatmap::new(),
             positions: PositionHistogram::new(),
@@ -523,9 +527,9 @@ impl L2Observer for Explainer<'_> {
         // and ring disjointly from the scorer.
         let Explainer {
             scorer,
-            kinds,
             recorders,
             totals,
+            price_mismatches,
             ring,
             heatmap,
             positions,
@@ -539,19 +543,32 @@ impl L2Observer for Explainer<'_> {
         }
         let request_seq = *seq;
         *seq += 1;
-        scorer.score_with(req, |i, strategy, view, tag| {
+        let set = req.priced();
+        let view = set.view();
+        scorer.score_with(req, |i, kind, strategy| {
             let rec = &mut recorders[i];
             rec.current = LookupEvents::default();
-            let lookup = match kinds[i] {
-                Some(k) => k.lookup_observed(view, tag, rec),
-                None => strategy.lookup_observed(view, tag, rec),
+            let lookup = match kind {
+                Some(k) => k.lookup_observed(&view, req.tag, rec),
+                None => strategy.lookup_observed(&view, req.tag, rec),
             };
+            debug_assert_eq!(
+                lookup.hit_way,
+                req.hit_way,
+                "{} disagrees with the cache on {:?}",
+                strategy.name(),
+                req.addr
+            );
             debug_assert_eq!(
                 rec.current.probes(),
                 lookup.probes,
                 "{} events do not account for its probes",
                 strategy.name()
             );
+            // The serial search is the pricer's differential oracle.
+            if kind.is_some_and(|k| k.price(&set) != lookup.probes) {
+                price_mismatches[i] += 1;
+            }
             let (read_in, write_back) = &mut totals[i];
             match req.kind {
                 L2RequestKind::ReadIn => read_in.absorb(&rec.current),
@@ -571,7 +588,7 @@ impl L2Observer for Explainer<'_> {
                 candidates: rec.current.candidates,
                 false_matches: rec.current.false_matches,
             });
-            lookup
+            lookup.probes
         });
     }
 }
@@ -596,16 +613,31 @@ fn parse_partial(name: &str) -> Option<(u32, u32)> {
 /// well away from it — that divergence is the signal, not an error.
 const MODEL_TOLERANCE: f64 = 0.05;
 
+/// `price_mismatches[i]` is `None` for a strategy with no closed form (one
+/// defined outside `seta-core`).
 fn build_checks(
     outcome: &RunOutcome,
     report_strategies: &[StrategyAttribution],
+    price_mismatches: &[Option<u64>],
     positions: &PositionHistogram,
 ) -> Vec<Check> {
     let a = outcome.assoc;
     let mut checks = Vec::new();
 
-    for (attr, result) in report_strategies.iter().zip(&outcome.strategies) {
+    let rows = report_strategies
+        .iter()
+        .zip(&outcome.strategies)
+        .zip(price_mismatches);
+    for ((attr, result), &mismatches) in rows {
         let name = &attr.name;
+        if let Some(mismatches) = mismatches {
+            checks.push(Check::exact(
+                format!("{name}/price ≡ serial lookup: mismatched requests"),
+                mismatches as f64,
+                0.0,
+                0.0,
+            ));
+        }
         let p = &result.probes;
         let read_in_lookups = p.hits.count + p.misses.count;
         let read_in_probes = p.hits.probes + p.misses.probes;
@@ -799,6 +831,11 @@ where
     I: IntoIterator<Item = TraceEvent>,
 {
     let mut hierarchy = TwoLevel::new(l1, l2).expect("L1 blocks must fit in L2 blocks");
+    // The same lanes `simulate` keeps, so the pricer's lane path is the one
+    // reconciled against the serial searches.
+    if let Some(spec) = partial_lane_spec(strategies, l2.associativity()) {
+        hierarchy.enable_partial_lanes(spec);
+    }
     let mut explainer = Explainer::new(strategies, l2.associativity(), cfg);
     let score = spans.as_deref_mut().map(|b| b.open("score", "phase"));
     hierarchy.run(events, &mut explainer);
@@ -809,6 +846,7 @@ where
     let Explainer {
         scorer,
         totals,
+        price_mismatches,
         ring,
         heatmap,
         positions,
@@ -825,7 +863,12 @@ where
             write_back,
         })
         .collect();
-    let checks = build_checks(&outcome, &attributions, &positions);
+    let price_mismatches: Vec<Option<u64>> = strategies
+        .iter()
+        .zip(price_mismatches)
+        .map(|(s, n)| s.kind().map(|_| n))
+        .collect();
+    let checks = build_checks(&outcome, &attributions, &price_mismatches, &positions);
     let report = ExplainReport {
         assoc: outcome.assoc,
         mru_f: positions.distribution(),
@@ -957,6 +1000,65 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A strategy defined outside `seta-core`: naive's search, without a
+    /// closed-enum form.
+    struct External;
+
+    impl LookupStrategy for External {
+        fn lookup(&self, view: &seta_core::SetView, tag: u64) -> seta_core::Lookup {
+            seta_core::lookup::Naive.lookup(view, tag)
+        }
+
+        fn lookup_observed(
+            &self,
+            view: &seta_core::SetView,
+            tag: u64,
+            obs: &mut dyn ProbeObserver,
+        ) -> seta_core::Lookup {
+            seta_core::lookup::Naive.lookup_observed(view, tag, obs)
+        }
+
+        fn name(&self) -> String {
+            "external".into()
+        }
+    }
+
+    #[test]
+    fn every_built_in_price_is_reconciled_with_its_serial_lookup() {
+        use seta_core::lookup::{Banked, Mru, ScanOrder};
+        let (l1, _) = geometries();
+        let l2 = CacheConfig::new(32 * 1024, 32, 8).unwrap();
+        let mut strategies = standard_strategies(8, 16);
+        strategies.push(Box::new(Mru::truncated(3)));
+        strategies.push(Box::new(Banked::new(2, ScanOrder::Mru)));
+        strategies.push(Box::new(External));
+        let (outcome, report) = explain(
+            l1,
+            l2,
+            small_trace(8_000, 29),
+            &strategies,
+            &ExplainConfig::default(),
+        );
+        for s in &strategies {
+            let check = report.checks.iter().find(|c| {
+                c.name == format!("{}/price ≡ serial lookup: mismatched requests", s.name())
+            });
+            match s.kind() {
+                Some(_) => {
+                    let check = check.expect("a built-in is reconciled");
+                    assert!(check.passed && check.measured == 0.0, "{check:?}");
+                }
+                None => assert!(check.is_none(), "{} has no closed form", s.name()),
+            }
+        }
+        // The external strategy is priced by its own lookup, naive's.
+        assert_eq!(
+            outcome.strategy("external").unwrap().probes,
+            outcome.strategy("naive").unwrap().probes
+        );
+        assert!(report.identities_hold());
     }
 
     #[test]

@@ -9,7 +9,7 @@ use seta_core::lookup::{
     Lookup, LookupStrategy, Mru, Naive, PartialCompare, StrategyKind, Traditional, TransformKind,
 };
 use seta_core::packed::LaneSpec;
-use seta_core::{model, MruDistanceHistogram, ProbeStats, SetView};
+use seta_core::{model, MruDistanceHistogram, ProbeStats, MAX_ASSOC};
 use seta_obs::{labeled, ServeHandle, ServeHeartbeat, SpanBuffer, SpanClock, SpanId, SpanTrace};
 use seta_trace::TraceEvent;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,21 +62,12 @@ impl RunOutcome {
 /// Scores every strategy against each L2 request's pre-access set state.
 pub(crate) struct Scorer<'a> {
     strategies: &'a [Box<dyn LookupStrategy>],
-    /// Monomorphized dispatch table: built-in strategies resolve to a
-    /// [`StrategyKind`] once at construction, so the per-access loop calls
-    /// the inlined fast paths instead of going through the vtable. `None`
-    /// entries (user-defined strategies) keep the dynamic call.
+    /// Each strategy's closed-enum form, resolved once: built-ins are
+    /// priced by [`StrategyKind::price`], and `None` (a strategy defined
+    /// outside `seta-core`) runs its own serial lookup.
     kinds: Vec<Option<StrategyKind>>,
-    /// Per-strategy packed-lane geometry, `Some` only for partial-compare
-    /// strategies whose spec is realizable at this associativity. Compared
-    /// against the request's lane view to gate the precomputed-word path.
-    lane_specs: Vec<Option<LaneSpec>>,
     pub(crate) results: Vec<(ProbeStats, ProbeStats)>,
     pub(crate) mru_hist: MruDistanceHistogram,
-    /// Scratch buffer for the target set's valid bits, reused across
-    /// accesses so the lookup inner loop never allocates. The tags are
-    /// borrowed straight from the cache's tag store.
-    valid_buf: Vec<bool>,
     /// Requests that change the MRU list (hits away from the MRU position,
     /// plus every miss) — Table 2's update probability `u`.
     pub(crate) mru_updates: u64,
@@ -85,42 +76,32 @@ pub(crate) struct Scorer<'a> {
 
 impl<'a> Scorer<'a> {
     pub(crate) fn new(strategies: &'a [Box<dyn LookupStrategy>], assoc: u32) -> Self {
+        assert!(
+            assoc as usize <= MAX_ASSOC,
+            "lookups price sets of at most {MAX_ASSOC} ways, not {assoc}"
+        );
         Scorer {
             strategies,
             kinds: strategies.iter().map(|s| s.kind()).collect(),
-            lane_specs: strategies
-                .iter()
-                .map(|s| match s.kind() {
-                    Some(StrategyKind::Partial(p)) => p.lane_spec(assoc as usize),
-                    _ => None,
-                })
-                .collect(),
             results: vec![(ProbeStats::new(), ProbeStats::new()); strategies.len()],
             mru_hist: MruDistanceHistogram::new(assoc as usize),
-            valid_buf: vec![false; assoc as usize],
             mru_updates: 0,
             requests: 0,
         }
     }
 
-    /// Scores one request with `lookup` performing each strategy's search.
+    /// Scores one request, with `probes(i, kind, strategy)` giving strategy
+    /// `i`'s probe count.
     ///
-    /// The plain path passes `LookupStrategy::lookup`; the explain pass
-    /// (see [`crate::explain`]) substitutes `lookup_observed` with its
-    /// event recorders, so instrumentation prices exactly the lookups the
-    /// statistics record — never a second execution.
-    pub(crate) fn score_with<F>(&mut self, req: &L2RequestView<'_>, mut lookup: F)
+    /// The plain path prices each strategy (see
+    /// [`on_l2_request`](L2Observer::on_l2_request)); the explain pass
+    /// (see [`crate::explain`]) runs `lookup_observed` with its event
+    /// recorders, so instrumentation records exactly the books the
+    /// statistics keep.
+    pub(crate) fn score_with<F>(&mut self, req: &L2RequestView<'_>, mut probes: F)
     where
-        F: FnMut(usize, &dyn LookupStrategy, &SetView, u64) -> Lookup,
+        F: FnMut(usize, Option<StrategyKind>, &dyn LookupStrategy) -> u32,
     {
-        for (v, f) in self.valid_buf.iter_mut().zip(req.frames.iter()) {
-            *v = f.valid;
-        }
-        // The cache guarantees the snapshot's invariants (its recency order
-        // is always a permutation), so the trusted constructor skips the
-        // per-access validation scan.
-        let view = SetView::from_trusted_parts(req.frames.tags(), &self.valid_buf, req.order);
-
         if req.kind == L2RequestKind::ReadIn && req.hit {
             self.mru_hist
                 .record(req.mru_distance.expect("hits have an MRU distance"));
@@ -132,32 +113,28 @@ impl<'a> Scorer<'a> {
             self.mru_updates += 1;
         }
 
-        for (i, (strategy, (opt, no_opt))) in
-            self.strategies.iter().zip(&mut self.results).enumerate()
-        {
-            let lookup = lookup(i, strategy.as_ref(), &view, req.tag);
-            debug_assert_eq!(
-                lookup.hit_way,
-                req.hit_way,
-                "{} disagrees with the cache on {:?}",
-                strategy.name(),
-                req.addr
-            );
+        let books = self
+            .strategies
+            .iter()
+            .zip(&self.kinds)
+            .zip(&mut self.results);
+        for (i, ((strategy, &kind), (opt, no_opt))) in books.enumerate() {
+            let probes = probes(i, kind, strategy.as_ref());
             match req.kind {
                 L2RequestKind::ReadIn => {
                     if req.hit {
-                        opt.record_hit(lookup.probes);
-                        no_opt.record_hit(lookup.probes);
+                        opt.record_hit(probes);
+                        no_opt.record_hit(probes);
                     } else {
-                        opt.record_miss(lookup.probes);
-                        no_opt.record_miss(lookup.probes);
+                        opt.record_miss(probes);
+                        no_opt.record_miss(probes);
                     }
                 }
                 L2RequestKind::WriteBack => {
                     // With the optimization the L1's position hint lets the
                     // write-back proceed with no tag probes at all.
                     opt.record_write_back(0);
-                    no_opt.record_write_back(lookup.probes);
+                    no_opt.record_write_back(probes);
                 }
             }
         }
@@ -166,31 +143,42 @@ impl<'a> Scorer<'a> {
 
 impl L2Observer for Scorer<'_> {
     fn on_l2_request(&mut self, req: &L2RequestView<'_>) {
-        // Take the dispatch tables out of `self` so the closure can read
-        // them while `score_with` holds the mutable borrow.
-        let kinds = std::mem::take(&mut self.kinds);
-        let lane_specs = std::mem::take(&mut self.lane_specs);
-        let lanes = req.lanes;
-        self.score_with(req, |i, strategy, view, tag| match kinds[i] {
-            Some(StrategyKind::Partial(p)) => match lanes {
-                // The cache maintains packed lane words for this exact
-                // geometry: skip step-one packing entirely.
-                Some(l) if lane_specs[i] == Some(l.spec()) => p.lookup_packed(view, &l, tag),
-                _ => p.lookup(view, tag),
-            },
-            Some(k) => k.lookup(view, tag),
-            None => strategy.lookup(view, tag),
+        // The request already knows where the block sits, so built-in
+        // strategies price from that without searching the set. A
+        // `SetView` is built only if a strategy outside `seta-core` needs
+        // one to search.
+        let set = req.priced();
+        let mut view = None;
+        self.score_with(req, |_, kind, strategy| match kind {
+            Some(k) => {
+                let probes = k.price(&set);
+                // Debug builds check the price and the cache's hit way
+                // against the serial search, the pricer's oracle.
+                debug_assert_eq!(
+                    k.lookup_observed(view.get_or_insert_with(|| set.view()), req.tag, &mut ()),
+                    Lookup {
+                        hit_way: req.hit_way,
+                        probes
+                    },
+                    "{} priced {:?} unlike its serial search",
+                    k.name(),
+                    req.addr
+                );
+                probes
+            }
+            None => {
+                let view = view.get_or_insert_with(|| set.view());
+                strategy.lookup(view, req.tag).probes
+            }
         });
-        self.kinds = kinds;
-        self.lane_specs = lane_specs;
     }
 }
 
 /// The packed-lane geometry the hierarchy should maintain for
 /// `strategies`: the first partial-compare strategy whose spec is
 /// realizable at associativity `assoc`. Feeding this to
-/// [`TwoLevel::enable_partial_lanes`] lets the scorer's partial fast path
-/// read precomputed lane words instead of packing the set on every access.
+/// [`TwoLevel::enable_partial_lanes`] lets the partial-compare pricer read
+/// precomputed lane words instead of packing the set on every request.
 pub(crate) fn partial_lane_spec(
     strategies: &[Box<dyn LookupStrategy>],
     assoc: u32,
@@ -207,6 +195,11 @@ pub(crate) fn partial_lane_spec(
 /// Cache *contents* are strategy-independent, so the single pass yields
 /// exact probe statistics for all strategies simultaneously — the same
 /// methodology as the paper's trace-driven study.
+///
+/// # Panics
+///
+/// Panics if `l2` has more than [`MAX_ASSOC`] ways: the lookups are
+/// defined over sets of at most that many.
 pub fn simulate<I>(
     l1: CacheConfig,
     l2: CacheConfig,
@@ -1213,6 +1206,40 @@ mod tests {
             m.probes.hit_mean(),
             out.mru_hist.expected_hit_probes()
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 32 ways, not 64")]
+    fn an_l2_wider_than_max_assoc_is_refused_before_any_request() {
+        let l1 = CacheConfig::direct_mapped(4 * 1024, 16).unwrap();
+        let l2 = CacheConfig::new(256 * 1024, 32, 64).unwrap();
+        let strategies: Vec<Box<dyn LookupStrategy>> = vec![Box::new(Mru::full())];
+        simulate(l1, l2, small_trace(1_000, 3), &strategies);
+    }
+
+    #[test]
+    fn a_strategy_outside_seta_core_searches_its_own_view() {
+        /// MRU's search, without a closed-enum form to price it by.
+        struct External;
+        impl LookupStrategy for External {
+            fn lookup(&self, view: &seta_core::SetView, tag: u64) -> seta_core::Lookup {
+                Mru::full().lookup(view, tag)
+            }
+            fn name(&self) -> String {
+                "external".into()
+            }
+        }
+        let l1 = CacheConfig::direct_mapped(4 * 1024, 16).unwrap();
+        let l2 = CacheConfig::new(32 * 1024, 32, 4).unwrap();
+        let strategies: Vec<Box<dyn LookupStrategy>> = vec![
+            Box::new(Mru::full()),
+            Box::new(External),
+            Box::new(PartialCompare::new(16, 1, TransformKind::XorFold)),
+        ];
+        let out = simulate(l1, l2, small_trace(10_000, 3), &strategies);
+        let (priced, searched) = (&out.strategies[0], &out.strategies[1]);
+        assert_eq!(priced.probes, searched.probes);
+        assert_eq!(priced.probes_no_opt, searched.probes_no_opt);
     }
 
     #[test]
