@@ -71,16 +71,19 @@ impl AddressMapper {
     }
 
     /// Number of sets this mapper indexes.
+    #[inline]
     pub fn num_sets(&self) -> u64 {
         1u64 << self.index_bits
     }
 
     /// The set index of an address.
+    #[inline]
     pub fn set_of(&self, addr: u64) -> u64 {
         (addr >> self.offset_bits) & (self.num_sets() - 1)
     }
 
     /// The (full-width) tag of an address.
+    #[inline]
     pub fn tag_of(&self, addr: u64) -> u64 {
         addr >> (self.offset_bits + self.index_bits)
     }
@@ -91,6 +94,7 @@ impl AddressMapper {
     }
 
     /// Recomposes the block-aligned address identified by (tag, set).
+    #[inline]
     pub fn block_addr(&self, tag: u64, set: u64) -> u64 {
         debug_assert!(set < self.num_sets(), "set {set} out of range");
         (tag << (self.offset_bits + self.index_bits)) | (set << self.offset_bits)

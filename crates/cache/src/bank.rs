@@ -169,11 +169,13 @@ impl SetBank {
     }
 
     /// Ways per set.
+    #[inline]
     pub fn assoc(&self) -> usize {
         self.assoc
     }
 
     /// Accumulated statistics.
+    #[inline]
     pub fn stats(&self) -> &CacheStats {
         &self.stats
     }
@@ -188,6 +190,7 @@ impl SetBank {
     /// # Panics
     ///
     /// Panics if `set` is out of range.
+    #[inline]
     pub fn frames(&self, set: usize) -> SetFrames<'_> {
         let ways = set * self.assoc..(set + 1) * self.assoc;
         SetFrames {
@@ -197,13 +200,14 @@ impl SetBank {
     }
 
     /// The recency list of one set, most-recently-used way first.
+    #[inline]
     pub fn order(&self, set: usize) -> &[u8] {
         self.replacement.order(set)
     }
 
     /// Non-mutating residency check: the way holding `tag` in `set`.
     pub fn probe(&self, set: usize, tag: u64) -> Option<u8> {
-        self.frames(set).position(tag).map(|w| w as u8)
+        self.locate(set, tag).map(|(way, _)| way)
     }
 
     /// Number of valid blocks in one set.
@@ -252,6 +256,7 @@ impl SetBank {
     }
 
     /// One set's packed lanes for a lookup, if lanes are maintained.
+    #[inline]
     pub fn lane_view(&self, set: usize) -> Option<LaneView<'_>> {
         self.lanes.as_ref().map(|l| l.view(set))
     }
@@ -268,52 +273,82 @@ impl SetBank {
         let _ = set;
     }
 
+    /// Where `tag` sits in `set`: its way and that way's recency position
+    /// (0 = MRU), or `None` if it is not resident. Read-only; the one
+    /// search of a set, so a caller that needs the hit facts before an
+    /// access [`locate`](Self::locate)s once and hands the result to
+    /// [`apply`](Self::apply).
+    #[inline(always)]
+    pub(crate) fn locate(&self, set: usize, tag: u64) -> Option<(u8, usize)> {
+        let way = self.frames(set).position(tag)? as u8;
+        Some((way, self.replacement.recency_of(set, way)))
+    }
+
     /// Performs one access to `(set, tag)`: refreshes recency on a hit,
     /// fills (evicting if needed) on a miss. `is_write` marks the block
     /// dirty.
+    #[inline]
     pub fn access(&mut self, set: usize, tag: u64, is_write: bool) -> BankAccess {
+        self.apply(set, tag, is_write, self.locate(set, tag))
+    }
+
+    /// Performs the access that [`locate`](Self::locate) found: `found`
+    /// must be `locate(set, tag)` on the set as it stands. Mutates the set
+    /// without searching it again: a hit moves the way to the front from
+    /// its known recency position; a miss fills the lowest-numbered empty
+    /// way, or the policy's victim.
+    #[inline(always)]
+    pub(crate) fn apply(
+        &mut self,
+        set: usize,
+        tag: u64,
+        is_write: bool,
+        found: Option<(u8, usize)>,
+    ) -> BankAccess {
+        debug_assert_eq!(found, self.locate(set, tag), "stale locate result");
+        let Some((way, pos)) = found else {
+            return self.fill(set, tag, is_write);
+        };
+        self.replacement.touch_at(set, pos);
+        self.flags[set * self.assoc + way as usize] |= u8::from(is_write) * DIRTY;
+        self.stats.record_access(true, is_write);
+        BankAccess {
+            hit: true,
+            way,
+            mru_distance: Some(pos),
+            evicted: None,
+        }
+    }
+
+    /// The miss half of [`apply`](Self::apply): fills the lowest-numbered
+    /// invalid frame first (the usual hardware convention; the paper's
+    /// footnote 1 only requires that empty frames are reused before live
+    /// blocks are evicted), and asks the policy for a victim only when the
+    /// set is full.
+    fn fill(&mut self, set: usize, tag: u64, is_write: bool) -> BankAccess {
         let ways = set * self.assoc..(set + 1) * self.assoc;
         let tags = &mut self.tags[ways.clone()];
         let flags = &mut self.flags[ways];
-
-        if let Some(way) = (SetFrames { tags, flags }).position(tag) {
-            let mru_distance = self.replacement.recency_of(set, way as u8);
-            self.replacement.touch(set, way as u8);
-            if is_write {
-                flags[way] |= DIRTY;
-            }
-            self.stats.record_access(true, is_write);
-            return BankAccess {
-                hit: true,
-                way: way as u8,
-                mru_distance: Some(mru_distance),
-                evicted: None,
-            };
-        }
-
-        // Miss: fill the lowest-numbered invalid frame first (the usual
-        // hardware convention; the paper's footnote 1 only requires that
-        // empty frames are reused before live blocks are evicted), and ask
-        // the policy for a victim only when the set is full.
         let way = match flags.iter().position(|&f| f & VALID == 0) {
-            Some(way) => way as u8,
-            None => self.replacement.victim(set),
+            Some(way) => {
+                self.replacement.fill(set, way as u8);
+                way as u8
+            }
+            None => self.replacement.replace(set),
         };
         let w = way as usize;
         let victim = flags[w];
-        let evicted = (victim & VALID != 0).then_some((tags[w], victim & DIRTY != 0));
-        if let Some((_, dirty)) = evicted {
-            self.stats.record_eviction(dirty);
-        }
+        let (valid, dirty) = (victim & VALID != 0, victim & DIRTY != 0);
+        self.stats.record_displaced(valid, dirty);
+        let evicted = valid.then_some((tags[w], dirty));
         tags[w] = tag;
-        flags[w] = if is_write { VALID | DIRTY } else { VALID };
+        flags[w] = VALID | (u8::from(is_write) * DIRTY);
         // The fill is the only operation that writes a tag, so it is the
         // only place the packed lanes need an incremental update.
         if let Some(lanes) = &mut self.lanes {
-            lanes.on_fill(set, way as usize, tag);
+            lanes.on_fill(set, w, tag);
         }
         self.debug_check_lanes(set);
-        self.replacement.fill(set, way);
         self.stats.record_access(false, is_write);
         BankAccess {
             hit: false,
@@ -340,8 +375,8 @@ impl SetBank {
     /// Invalidates `(set, tag)` if resident, returning whether a block was
     /// dropped. See [`Cache::invalidate`](crate::Cache::invalidate).
     pub fn invalidate(&mut self, set: usize, tag: u64) -> bool {
-        if let Some(way) = self.frames(set).position(tag) {
-            self.flags[set * self.assoc + way] = 0;
+        if let Some((way, _)) = self.locate(set, tag) {
+            self.flags[set * self.assoc + way as usize] = 0;
             // Tags survive invalidation, so the lanes stay coherent.
             self.debug_check_lanes(set);
             true
@@ -479,21 +514,35 @@ mod tests {
     }
 
     /// The bank as it stored sets before the tag/flag layout: one 16-byte
-    /// [`Frame`] per way, searched frame by frame. The differential oracle
-    /// for the flat store.
+    /// [`Frame`] per way, searched frame by frame, with its own recency
+    /// lists (remove and re-insert), victim choice and counters. The
+    /// differential oracle for the flat store and its `locate`/`apply`
+    /// split; it shares no replacement or statistics code with the bank.
     struct FrameBank {
         assoc: usize,
+        policy: Policy,
         frames: Vec<Frame>,
-        replacement: ReplacementState,
+        /// Per-set recency lists, most-recently-used way first.
+        orders: Vec<Vec<u8>>,
+        /// Draws [`Policy::Random`]'s victims: the same seeded stream the
+        /// bank's replacement state draws from.
+        rng: rand::rngs::StdRng,
+        /// Hits, misses, write hits, write misses, evictions, dirty
+        /// evictions.
+        counts: [u64; 6],
         lanes: Option<PackedLanes>,
     }
 
     impl FrameBank {
         fn new(num_sets: usize, assoc: usize, policy: Policy, seed: u64) -> Self {
+            use rand::SeedableRng;
             FrameBank {
                 assoc,
+                policy,
                 frames: vec![Frame::empty(); num_sets * assoc],
-                replacement: ReplacementState::new(policy, num_sets, assoc, seed),
+                orders: vec![(0..assoc as u8).collect(); num_sets],
+                rng: rand::rngs::StdRng::seed_from_u64(seed),
+                counts: [0; 6],
                 lanes: None,
             }
         }
@@ -506,38 +555,64 @@ mod tests {
             self.frames(set).iter().map(|f| f.tag).collect()
         }
 
-        fn probe(&self, set: usize, tag: u64) -> Option<u8> {
-            self.frames(set)
-                .iter()
-                .position(|f| f.matches(tag))
-                .map(|w| w as u8)
+        fn locate(&self, set: usize, tag: u64) -> Option<(u8, usize)> {
+            let way = self.frames(set).iter().position(|f| f.matches(tag))? as u8;
+            let pos = self.orders[set].iter().position(|&w| w == way);
+            Some((way, pos.expect("every way is listed")))
+        }
+
+        fn make_mru(&mut self, set: usize, way: u8) {
+            let order = &mut self.orders[set];
+            order.retain(|&w| w != way);
+            order.insert(0, way);
         }
 
         fn access(&mut self, set: usize, tag: u64, is_write: bool) -> BankAccess {
             let base = set * self.assoc;
-            if let Some(way) = self.probe(set, tag) {
-                let mru_distance = self.replacement.recency_of(set, way);
-                self.replacement.touch(set, way);
+            if let Some((way, pos)) = self.locate(set, tag) {
+                if self.policy == Policy::Lru {
+                    self.make_mru(set, way);
+                }
                 if is_write {
                     self.frames[base + way as usize].dirty = true;
+                    self.counts[2] += 1;
                 }
+                self.counts[0] += 1;
                 return BankAccess {
                     hit: true,
                     way,
-                    mru_distance: Some(mru_distance),
+                    mru_distance: Some(pos),
                     evicted: None,
                 };
             }
             let way = match self.frames(set).iter().position(|f| !f.valid) {
                 Some(way) => way as u8,
-                None => self.replacement.victim(set),
+                None => match self.policy {
+                    Policy::Lru | Policy::Fifo => *self.orders[set].last().expect("ways"),
+                    Policy::Random => {
+                        use rand::Rng;
+                        self.rng.gen_range(0..self.assoc) as u8
+                    }
+                },
             };
             let victim = self.frames[base + way as usize];
             self.frames[base + way as usize] = Frame::filled(tag, is_write);
             if let Some(lanes) = &mut self.lanes {
                 lanes.on_fill(set, way as usize, tag);
             }
-            self.replacement.fill(set, way);
+            if self.policy != Policy::Random {
+                self.make_mru(set, way);
+            }
+            self.counts[1] += 1;
+            if is_write {
+                self.counts[3] += 1;
+            }
+            if victim.valid {
+                self.counts[4] += 1;
+                if victim.dirty {
+                    self.counts[5] += 1;
+                }
+            }
             BankAccess {
                 hit: false,
                 way,
@@ -547,8 +622,8 @@ mod tests {
         }
 
         fn invalidate(&mut self, set: usize, tag: u64) -> bool {
-            match self.probe(set, tag) {
-                Some(way) => {
+            match self.locate(set, tag) {
+                Some((way, _)) => {
                     self.frames[set * self.assoc + way as usize].invalidate();
                     true
                 }
@@ -560,11 +635,17 @@ mod tests {
             for f in &mut self.frames {
                 f.invalidate();
             }
-            self.replacement.reset();
+            for order in &mut self.orders {
+                for (i, w) in order.iter_mut().enumerate() {
+                    *w = i as u8;
+                }
+            }
         }
     }
 
-    /// One step of a differential run.
+    /// One step of a differential run. Tags are reduced modulo a range
+    /// sized to the associativity, so hits, evictions and invalidations
+    /// all occur at every width.
     #[derive(Debug, Clone, Copy)]
     enum Op {
         Access { set: usize, tag: u64, write: bool },
@@ -573,44 +654,54 @@ mod tests {
     }
 
     fn op() -> impl Strategy<Value = Op> {
-        // Few tags per set so hits, evictions and invalidations all occur.
         prop_oneof![
-            12 => (0usize..4, 0u64..12, any::<bool>())
+            24 => (0usize..4, any::<u64>(), any::<bool>())
                 .prop_map(|(set, tag, write)| Op::Access { set, tag, write }),
-            2 => (0usize..4, 0u64..12).prop_map(|(set, tag)| Op::Invalidate { set, tag }),
+            2 => (0usize..4, any::<u64>()).prop_map(|(set, tag)| Op::Invalidate { set, tag }),
             1 => Just(Op::Flush),
         ]
     }
 
     proptest! {
         /// The flat tag/flag store behaves exactly like the frame store it
-        /// replaced: same access outcomes, same frames, same resident set,
-        /// and (with lanes on) the same lane words.
+        /// replaced: `locate` finds the model's hit way and recency
+        /// position before every access, and `apply` on that result gives
+        /// the model's outcome, frames, recency lists, counters, resident
+        /// set and (with lanes on) lane words.
         #[test]
         fn flat_store_matches_frame_store(
-            ops in proptest::collection::vec(op(), 1..160),
+            ops in proptest::collection::vec(op(), 1..240),
             policy_idx in 0usize..3,
-            assoc_idx in 0usize..3,
+            assoc_idx in 0usize..5,
             lanes in any::<bool>(),
             seed in 0u64..1000,
         ) {
             use seta_core::lookup::TransformKind;
-            let policy = [Policy::Lru, Policy::Fifo, Policy::Random][policy_idx];
-            let assoc = [2usize, 4, 8][assoc_idx];
+            let policy = Policy::ALL[policy_idx];
+            let assoc = [1usize, 2, 4, 8, 16][assoc_idx];
+            let tags = 2 * assoc as u64 + 2;
             let mut flat = SetBank::new(4, assoc, policy, seed);
             let mut model = FrameBank::new(4, assoc, policy, seed);
-            if lanes {
-                let spec = LaneSpec::try_new(16, 1, TransformKind::XorFold, assoc as u32)
-                    .expect("realizable lane spec");
+            // A one-way set has no lanes to pack.
+            if let Some(spec) =
+                LaneSpec::try_new(16, 1, TransformKind::XorFold, assoc as u32).filter(|_| lanes)
+            {
                 prop_assert!(flat.enable_partial_lanes(spec));
                 model.lanes = Some(PackedLanes::new(spec, 4));
             }
             for op in ops {
                 match op {
                     Op::Access { set, tag, write } => {
-                        prop_assert_eq!(flat.access(set, tag, write), model.access(set, tag, write));
+                        let tag = tag % tags;
+                        let found = flat.locate(set, tag);
+                        prop_assert_eq!(found, model.locate(set, tag));
+                        prop_assert_eq!(
+                            flat.apply(set, tag, write, found),
+                            model.access(set, tag, write)
+                        );
                     }
                     Op::Invalidate { set, tag } => {
+                        let tag = tag % tags;
                         prop_assert_eq!(flat.invalidate(set, tag), model.invalidate(set, tag));
                     }
                     Op::Flush => {
@@ -622,17 +713,30 @@ mod tests {
                     let frames: Vec<Frame> = flat.frames(set).iter().collect();
                     prop_assert_eq!(frames.as_slice(), model.frames(set), "set {}", set);
                     prop_assert_eq!(flat.frames(set).tags(), model.tags(set).as_slice());
+                    prop_assert_eq!(flat.order(set), model.orders[set].as_slice());
                     prop_assert_eq!(
                         flat.occupancy(set),
                         model.frames(set).iter().filter(|f| f.valid).count()
                     );
-                    for tag in 0..12 {
-                        prop_assert_eq!(flat.probe(set, tag), model.probe(set, tag));
+                    for tag in 0..tags {
+                        prop_assert_eq!(flat.probe(set, tag), model.locate(set, tag).map(|l| l.0));
                     }
                     if let (Some(view), Some(lanes)) = (flat.lane_view(set), &model.lanes) {
                         prop_assert_eq!(view.words(), lanes.view(set).words());
                     }
                 }
+                let s = flat.stats();
+                prop_assert_eq!(
+                    [
+                        s.hits(),
+                        s.misses(),
+                        s.write_hits(),
+                        s.write_misses(),
+                        s.evictions(),
+                        s.dirty_evictions(),
+                    ],
+                    model.counts
+                );
                 let resident: Vec<(usize, u64)> = flat.resident_tags().collect();
                 let expected: Vec<(usize, u64)> = model
                     .frames

@@ -99,22 +99,25 @@ impl Cache {
     }
 
     /// One set's packed lanes for a lookup, if lanes are maintained.
+    #[inline]
     pub fn lane_view(&self, set: u64) -> Option<LaneView<'_>> {
-        self.bank
-            .lane_view(usize::try_from(set).expect("set fits usize"))
+        self.bank.lane_view(Self::set_index(set))
     }
 
     /// The geometry of this cache.
+    #[inline]
     pub fn config(&self) -> &CacheConfig {
         &self.config
     }
 
     /// The address mapper for this geometry.
+    #[inline]
     pub fn mapper(&self) -> &AddressMapper {
         &self.mapper
     }
 
     /// Accumulated statistics.
+    #[inline]
     pub fn stats(&self) -> &CacheStats {
         self.bank.stats()
     }
@@ -129,9 +132,9 @@ impl Cache {
     /// # Panics
     ///
     /// Panics if `set` is out of range.
+    #[inline]
     pub fn set_frames(&self, set: u64) -> SetFrames<'_> {
-        self.bank
-            .frames(usize::try_from(set).expect("set fits usize"))
+        self.bank.frames(Self::set_index(set))
     }
 
     /// The recency list of one set, most-recently-used way first.
@@ -142,27 +145,50 @@ impl Cache {
     /// # Panics
     ///
     /// Panics if `set` is out of range.
+    #[inline]
     pub fn set_order(&self, set: u64) -> &[u8] {
-        self.bank
-            .order(usize::try_from(set).expect("set fits usize"))
+        self.bank.order(Self::set_index(set))
     }
 
     /// Non-mutating residency check: the way holding `addr`, if resident.
     pub fn probe(&self, addr: u64) -> Option<u8> {
         let set = self.mapper.set_of(addr);
         let tag = self.mapper.tag_of(addr);
-        self.bank
-            .probe(usize::try_from(set).expect("set fits usize"), tag)
+        self.bank.probe(Self::set_index(set), tag)
     }
 
     /// Performs one access: looks the block up, refreshes recency on a hit,
     /// fills (evicting if needed) on a miss. `is_write` marks the block
     /// dirty.
+    #[inline]
     pub fn access(&mut self, addr: u64, is_write: bool) -> AccessResult {
         let set = self.mapper.set_of(addr);
         let tag = self.mapper.tag_of(addr);
-        let set_idx = usize::try_from(set).expect("set fits usize");
-        let r = self.bank.access(set_idx, tag, is_write);
+        self.apply(set, tag, is_write, self.locate(set, tag))
+    }
+
+    /// Where block `tag` of `set` sits: its way and that way's recency
+    /// position (0 = MRU), or `None` on a miss. Read-only; see
+    /// [`SetBank::locate`].
+    #[inline(always)]
+    pub(crate) fn locate(&self, set: u64, tag: u64) -> Option<(u8, usize)> {
+        self.bank.locate(Self::set_index(set), tag)
+    }
+
+    /// Performs the access to `(set, tag)` that [`locate`](Self::locate)
+    /// found, without searching the set again: `found` must be
+    /// `locate(set, tag)` on the cache as it stands. `access(addr, w)` is
+    /// `apply(set, tag, w, locate(set, tag))` for the address's set and
+    /// tag.
+    #[inline(always)]
+    pub(crate) fn apply(
+        &mut self,
+        set: u64,
+        tag: u64,
+        is_write: bool,
+        found: Option<(u8, usize)>,
+    ) -> AccessResult {
+        let r = self.bank.apply(Self::set_index(set), tag, is_write, found);
         AccessResult {
             hit: r.hit,
             way: r.way,
@@ -172,6 +198,11 @@ impl Cache {
                 dirty,
             }),
         }
+    }
+
+    #[inline]
+    fn set_index(set: u64) -> usize {
+        usize::try_from(set).expect("set fits usize")
     }
 
     /// Invalidates every block and resets recency lists (statistics are
@@ -193,8 +224,7 @@ impl Cache {
     pub fn invalidate(&mut self, addr: u64) -> bool {
         let set = self.mapper.set_of(addr);
         let tag = self.mapper.tag_of(addr);
-        self.bank
-            .invalidate(usize::try_from(set).expect("set fits usize"), tag)
+        self.bank.invalidate(Self::set_index(set), tag)
     }
 
     /// Number of invalid (empty) block frames.

@@ -121,6 +121,7 @@ impl CacheConfig {
     }
 
     /// Associativity (block frames per set).
+    #[inline]
     pub fn associativity(&self) -> u32 {
         self.associativity
     }

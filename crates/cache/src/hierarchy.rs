@@ -324,16 +324,18 @@ impl L1Half {
     /// or `None` on an L1 hit.
     pub fn access<M: MetricsSink>(&mut self, record: &TraceRecord, sink: &mut M) -> Option<L1Miss> {
         self.processor_refs += 1;
-        let r = self.cache.access(record.addr, record.kind.is_write());
+        let set = self.cache.mapper().set_of(record.addr);
+        let tag = self.cache.mapper().tag_of(record.addr);
+        let found = self.cache.locate(set, tag);
+        let r = self.cache.apply(set, tag, record.kind.is_write(), found);
         sink.on_ref(r.hit);
         if r.hit {
             return None;
         }
-        let set = self.cache.mapper().set_of(record.addr) as usize;
         let assoc = self.cache.config().associativity() as usize;
         Some(L1Miss {
-            frame: set * assoc + r.way as usize,
-            addr: record.block_addr(self.cache.config().block_size()),
+            frame: set as usize * assoc + r.way as usize,
+            addr: self.cache.mapper().block_addr(tag, set),
             write_back: r.evicted.filter(|v| v.dirty).map(|v| v.addr),
         })
     }
@@ -433,8 +435,10 @@ impl L2Half {
         });
     }
 
-    /// Issues one L2 request: observes the pre-state, then performs the
-    /// access. Returns the way the block occupies afterwards.
+    /// Issues one L2 request: locates the block once, shows `observer` the
+    /// pre-access set with that result, then applies the access from the
+    /// same result without searching the set again. Returns the way the
+    /// block occupies afterwards.
     fn issue<O: L2Observer, M: MetricsSink>(
         &mut self,
         kind: L2RequestKind,
@@ -445,11 +449,9 @@ impl L2Half {
     ) -> u8 {
         let set = self.cache.mapper().set_of(addr);
         let tag = self.cache.mapper().tag_of(addr);
-        let frames = self.cache.set_frames(set);
-        let order = self.cache.set_order(set);
-        let hit_way = frames.position(tag).map(|w| w as u8);
-        let mru_distance =
-            hit_way.map(|w| order.iter().position(|&o| o == w).expect("permutation"));
+        let found = self.cache.locate(set, tag);
+        let hit_way = found.map(|(way, _)| way);
+        let mru_distance = found.map(|(_, pos)| pos);
         let hint_correct = match kind {
             L2RequestKind::ReadIn => None,
             L2RequestKind::WriteBack => Some(hint.is_some() && hint == hit_way),
@@ -459,36 +461,31 @@ impl L2Half {
             addr,
             set,
             tag,
-            hit: hit_way.is_some(),
+            hit: found.is_some(),
             hit_way,
             mru_distance,
-            frames,
-            order,
+            frames: self.cache.set_frames(set),
+            order: self.cache.set_order(set),
             hint_correct,
             lanes: self.cache.lane_view(set),
         };
         observer.on_l2_request(&view);
 
         let is_write = kind == L2RequestKind::WriteBack;
-        let result = self.cache.access(addr, is_write);
+        let result = self.cache.apply(set, tag, is_write, found);
         sink.on_l2(kind, result.hit);
         sink.on_l2_set(set, kind, result.hit, mru_distance);
+        let hit = u64::from(result.hit);
         match kind {
             L2RequestKind::ReadIn => {
                 self.stats.read_ins += 1;
-                if result.hit {
-                    self.stats.read_in_hits += 1;
-                }
+                self.stats.read_in_hits += hit;
             }
             L2RequestKind::WriteBack => {
                 self.stats.write_backs += 1;
-                if result.hit {
-                    self.stats.write_back_hits += 1;
-                }
+                self.stats.write_back_hits += hit;
                 self.stats.hint_checks += 1;
-                if hint_correct == Some(true) {
-                    self.stats.hint_correct += 1;
-                }
+                self.stats.hint_correct += u64::from(hint_correct == Some(true));
             }
         }
         result.way

@@ -197,7 +197,8 @@ impl MultiLevel {
     }
 
     /// Issues a request to `level`, cascading misses and write-backs
-    /// downstream.
+    /// downstream. Like the two-level hierarchy, it locates the block
+    /// once and applies the access from that one search.
     fn request<O: MultiLevelObserver>(
         &mut self,
         level: usize,
@@ -211,41 +212,34 @@ impl MultiLevel {
         let cache = &self.levels[level];
         let set = cache.mapper().set_of(addr);
         let tag = cache.mapper().tag_of(addr);
-        let frames = cache.set_frames(set);
-        let order = cache.set_order(set);
-        let hit_way = frames.position(tag).map(|w| w as u8);
-        let mru_distance =
-            hit_way.map(|w| order.iter().position(|&o| o == w).expect("permutation"));
+        let found = cache.locate(set, tag);
         let view = L2RequestView {
             kind,
             addr,
             set,
             tag,
-            hit: hit_way.is_some(),
-            hit_way,
-            mru_distance,
-            frames,
-            order,
+            hit: found.is_some(),
+            hit_way: found.map(|(way, _)| way),
+            mru_distance: found.map(|(_, pos)| pos),
+            frames: cache.set_frames(set),
+            order: cache.set_order(set),
             hint_correct: None,
             lanes: cache.lane_view(set),
         };
         observer.on_request(level, &view);
 
         let is_write = kind == L2RequestKind::WriteBack;
-        let result = self.levels[level].access(addr, is_write);
+        let result = self.levels[level].apply(set, tag, is_write, found);
         let t = &mut self.traffic[level];
+        let hit = u64::from(result.hit);
         match kind {
             L2RequestKind::ReadIn => {
                 t.read_ins += 1;
-                if result.hit {
-                    t.read_in_hits += 1;
-                }
+                t.read_in_hits += hit;
             }
             L2RequestKind::WriteBack => {
                 t.write_backs += 1;
-                if result.hit {
-                    t.write_back_hits += 1;
-                }
+                t.write_back_hits += hit;
             }
         }
 

@@ -83,10 +83,12 @@ impl ReplacementState {
     }
 
     /// The recency list of a set, most-recently-used first.
+    #[inline]
     pub fn order(&self, set: usize) -> &[u8] {
         &self.order[set * self.assoc..(set + 1) * self.assoc]
     }
 
+    #[inline]
     fn order_mut(&mut self, set: usize) -> &mut [u8] {
         &mut self.order[set * self.assoc..(set + 1) * self.assoc]
     }
@@ -97,6 +99,7 @@ impl ReplacementState {
     ///
     /// Panics if `way` is not a way of this cache (the list is a
     /// permutation, so every valid way is present).
+    #[inline]
     pub fn recency_of(&self, set: usize, way: u8) -> usize {
         self.order(set)
             .iter()
@@ -105,14 +108,27 @@ impl ReplacementState {
     }
 
     /// Records a hit on `way`, refreshing recency under LRU.
+    #[inline]
     pub fn touch(&mut self, set: usize, way: u8) {
         if self.policy == Policy::Lru {
             self.move_to_front(set, way);
         }
     }
 
+    /// Records a hit on the way at recency position `pos` of `set`, as
+    /// [`touch`](Self::touch) does, for a caller that already knows the
+    /// position: no search of the recency list. A hit on the MRU way
+    /// (`pos == 0`) changes nothing.
+    #[inline]
+    pub(crate) fn touch_at(&mut self, set: usize, pos: usize) {
+        if self.policy == Policy::Lru {
+            to_front(self.order_mut(set), pos);
+        }
+    }
+
     /// Records a fill into `way` (a new block arrived), refreshing recency
     /// under LRU and FIFO.
+    #[inline]
     pub fn fill(&mut self, set: usize, way: u8) {
         match self.policy {
             Policy::Lru | Policy::Fifo => self.move_to_front(set, way),
@@ -123,6 +139,7 @@ impl ReplacementState {
     /// Chooses the way to evict for a miss in a full `set`. Callers fill
     /// invalid frames before asking, so [`Policy::Random`] draws from its
     /// RNG only when a live block must go.
+    #[inline]
     pub fn victim(&mut self, set: usize) -> u8 {
         match self.policy {
             Policy::Lru | Policy::Fifo => {
@@ -132,13 +149,29 @@ impl ReplacementState {
         }
     }
 
+    /// Chooses the way to evict for a miss in a full `set` and records the
+    /// fill into it: [`victim`](Self::victim) then [`fill`](Self::fill).
+    /// Under LRU and FIFO the victim is the tail of the recency list, so
+    /// the fill rotates the whole list without searching it.
+    #[inline]
+    pub(crate) fn replace(&mut self, set: usize) -> u8 {
+        match self.policy {
+            Policy::Lru | Policy::Fifo => {
+                let last = self.assoc - 1;
+                to_front(self.order_mut(set), last)
+            }
+            Policy::Random => self.rng.gen_range(0..self.assoc) as u8,
+        }
+    }
+
+    #[inline]
     fn move_to_front(&mut self, set: usize, way: u8) {
         let order = self.order_mut(set);
         let pos = order
             .iter()
             .position(|&w| w == way)
             .expect("recency list is a permutation of the ways");
-        order[..=pos].rotate_right(1);
+        to_front(order, pos);
     }
 
     /// Resets every set's recency list to the initial order (used on flush).
@@ -150,6 +183,23 @@ impl ReplacementState {
             }
         }
     }
+}
+
+/// Moves the way at position `pos` of a recency list to the front,
+/// shifting the `pos` ways above it back one place, and returns it. A way
+/// already at the front (`pos == 0`) moves nothing. The shift is a plain
+/// byte loop: lists are at most a few dozen bytes, and a `copy_within`
+/// here compiles to a `memmove` call that measured slower.
+#[inline]
+fn to_front(order: &mut [u8], pos: usize) -> u8 {
+    let way = order[pos];
+    let mut i = pos;
+    while i > 0 {
+        order[i] = order[i - 1];
+        i -= 1;
+    }
+    order[0] = way;
+    way
 }
 
 #[cfg(test)]
@@ -262,6 +312,52 @@ mod tests {
                 }
                 prop_assert!(is_permutation(s.order(0)));
                 prop_assert!(is_permutation(s.order(1)));
+            }
+        }
+
+        /// Touching by a known recency position is touching by way, under
+        /// every policy.
+        #[test]
+        fn touch_at_matches_touch(
+            ways in proptest::collection::vec((0usize..2, 0u8..8), 1..200),
+            policy_idx in 0usize..3,
+        ) {
+            let policy = Policy::ALL[policy_idx];
+            let mut by_way = ReplacementState::new(policy, 2, 8, 1);
+            let mut by_pos = ReplacementState::new(policy, 2, 8, 1);
+            for (set, way) in ways {
+                by_way.touch(set, way);
+                by_pos.touch_at(set, by_pos.recency_of(set, way));
+                prop_assert_eq!(by_way.order(set), by_pos.order(set));
+                // Interleave fills so FIFO and LRU orders drift apart.
+                if way % 3 == 0 {
+                    by_way.fill(set, way / 2);
+                    by_pos.fill(set, way / 2);
+                }
+            }
+            prop_assert_eq!(&by_way.order, &by_pos.order);
+        }
+
+        /// Replacing is choosing a victim and filling it, under every
+        /// policy.
+        #[test]
+        fn replace_matches_victim_then_fill(
+            ops in proptest::collection::vec((0usize..2, 0u8..4), 1..200),
+            policy_idx in 0usize..3,
+        ) {
+            let policy = Policy::ALL[policy_idx];
+            let mut split = ReplacementState::new(policy, 2, 4, 9);
+            let mut fused = ReplacementState::new(policy, 2, 4, 9);
+            for (set, way) in ops {
+                if way == 0 {
+                    let victim = split.victim(set);
+                    split.fill(set, victim);
+                    prop_assert_eq!(fused.replace(set), victim);
+                } else {
+                    split.touch(set, way);
+                    fused.touch(set, way);
+                }
+                prop_assert_eq!(split.order(set), fused.order(set));
             }
         }
 

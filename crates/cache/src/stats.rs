@@ -31,27 +31,30 @@ impl CacheStats {
         CacheStats::default()
     }
 
-    /// Records one access outcome.
+    /// Records one access outcome. Adds flags rather than branching on
+    /// them: on a write-heavy trace neither flag is predictable.
+    #[inline]
     pub fn record_access(&mut self, hit: bool, is_write: bool) {
-        if hit {
-            self.hits += 1;
-            if is_write {
-                self.write_hits += 1;
-            }
-        } else {
-            self.misses += 1;
-            if is_write {
-                self.write_misses += 1;
-            }
-        }
+        let (hit, miss, write) = (u64::from(hit), u64::from(!hit), u64::from(is_write));
+        self.hits += hit;
+        self.misses += miss;
+        self.write_hits += hit & write;
+        self.write_misses += miss & write;
     }
 
     /// Records an eviction, dirty or clean.
+    #[inline]
     pub fn record_eviction(&mut self, dirty: bool) {
-        self.evictions += 1;
-        if dirty {
-            self.dirty_evictions += 1;
-        }
+        self.record_displaced(true, dirty);
+    }
+
+    /// Records what a fill displaced: an eviction if the frame was `valid`,
+    /// a dirty one if it was also `dirty`. A fill into an empty frame
+    /// (`valid == false`) counts nothing.
+    #[inline]
+    pub(crate) fn record_displaced(&mut self, valid: bool, dirty: bool) {
+        self.evictions += u64::from(valid);
+        self.dirty_evictions += u64::from(valid & dirty);
     }
 
     /// Total accesses.
@@ -164,6 +167,17 @@ mod tests {
         assert_eq!(s.write_misses(), 1);
         assert_eq!(s.evictions(), 2);
         assert_eq!(s.dirty_evictions(), 1);
+    }
+
+    #[test]
+    fn displaced_counts_only_valid_frames() {
+        let mut s = CacheStats::new();
+        s.record_displaced(false, false);
+        s.record_displaced(false, true);
+        assert_eq!(s, CacheStats::new(), "an empty frame evicts nothing");
+        s.record_displaced(true, false);
+        s.record_displaced(true, true);
+        assert_eq!((s.evictions(), s.dirty_evictions()), (2, 1));
     }
 
     #[test]

@@ -342,6 +342,7 @@ impl LaneSpec {
     }
 
     /// Lane words per set (one per subset).
+    #[inline]
     pub fn words_per_set(&self) -> usize {
         self.subsets as usize
     }
@@ -415,12 +416,14 @@ impl PackedLanes {
     }
 
     /// The lane words of `set`, one per subset.
+    #[inline]
     pub fn set_words(&self, set: usize) -> &[u64] {
         let base = set * self.spec.words_per_set();
         &self.words[base..base + self.spec.words_per_set()]
     }
 
     /// A borrowed view of `set`'s lanes for a lookup.
+    #[inline]
     pub fn view(&self, set: usize) -> LaneView<'_> {
         LaneView {
             spec: self.spec,

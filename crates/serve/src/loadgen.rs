@@ -3,9 +3,9 @@
 //! Each client thread owns a private L1 (the same [`L1Half`] the
 //! sequential hierarchy steps) and replays trace chunks against the shared
 //! [`ConcurrentCache`], issuing exactly the requests
-//! [`TwoLevel`](seta_cache::TwoLevel) would: each [`L1Miss`]'s read-in,
-//! then its dirty victim's write-back. Chunks come off an atomic
-//! work queue — the sweep runner's sharding pattern, via
+//! [`TwoLevel`](seta_cache::TwoLevel) would: each
+//! [`L1Miss`](seta_cache::L1Miss)'s read-in, then its dirty victim's
+//! write-back. Chunks come off an atomic work queue — the sweep runner's sharding pattern, via
 //! [`seta_sim::partition`] — and every client starts each chunk from a
 //! flushed (cold) L1, so which client replays which chunk can never change
 //! the request totals: per-chunk L1 behaviour depends only on chunk

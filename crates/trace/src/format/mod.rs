@@ -11,9 +11,9 @@
 //!   paper's era, for importing existing traces and exporting to other
 //!   simulators.
 //!
-//! All formats encode the full [`TraceEvent`](crate::TraceEvent) stream,
-//! including flush markers, and round-trip losslessly; see the property
-//! tests in each module.
+//! All formats encode the full [`TraceEvent`] stream, including flush
+//! markers, and round-trip losslessly; see the property tests in each
+//! module.
 
 pub mod binary;
 pub mod dinero;

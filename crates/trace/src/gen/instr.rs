@@ -113,7 +113,8 @@ impl InstructionStream {
                 let i = self.rng.gen_range(0..self.targets.len());
                 self.targets[i]
             } else {
-                let instrs = self.config.code_segment / self.config.instr_size;
+                // `instr_size` is a validated power of two.
+                let instrs = self.config.code_segment >> self.config.instr_size.trailing_zeros();
                 let t = self.rng.gen_range(0..instrs) * self.config.instr_size;
                 self.targets.push(t);
                 if self.targets.len() > self.config.loop_targets {
@@ -123,7 +124,14 @@ impl InstructionStream {
             };
             self.pc = target;
         } else {
-            self.pc = (self.pc + self.config.instr_size) % self.config.code_segment;
+            // `pc < code_segment` and `instr_size <= code_segment`, so one
+            // conditional subtract is the `%`.
+            let next = self.pc + self.config.instr_size;
+            self.pc = if next >= self.config.code_segment {
+                next - self.config.code_segment
+            } else {
+                next
+            };
         }
         TraceRecord::ifetch(addr)
     }

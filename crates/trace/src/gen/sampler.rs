@@ -15,6 +15,13 @@ use rand::Rng;
 /// The cache never changes a result: the same `f64` operations run in the
 /// same order whether the normaliser is fresh or cached.
 ///
+/// Most draws skip the second `powf` as well. `floor(x)` is the largest
+/// `d` whose threshold `d^(1-θ)` the CDF's numerator `v = 1 + u·span` has
+/// passed, so the sampler keeps the thresholds of the shallowest depths
+/// and finds the depth by comparing `v` against them. Where `v` lies
+/// within a relative 1e-9 of a threshold, or beyond the table, it takes
+/// the `powf` after all, so every draw is the closed form's, bit for bit.
+///
 /// # Example
 ///
 /// ```
@@ -34,7 +41,20 @@ pub struct PowerLawSampler {
     cached_max: usize,
     /// `(cached_max + 1)^(1-θ) - 1`, the denominator of the CDF.
     cached_span: f64,
+    /// `σ·d^(1-θ)` for `d = 2, 3, …`, with `σ` the sign of `1-θ`, so the
+    /// entries increase with `d` on either side of θ = 1. Unused at θ = 1.
+    thresholds: [f64; THRESHOLDS],
 }
+
+/// Depths `2..=THRESHOLDS + 1` are decided by threshold comparison. At the
+/// default θ = 1.95 about one draw in thirty from a full 8192-region stack
+/// lands deeper and pays the `powf`.
+const THRESHOLDS: usize = 32;
+
+/// How close, relative to a threshold, `v` may come before the comparison
+/// is left to `powf`. `powf` is accurate to an ulp or so (~1e-16), so
+/// outside this band the comparison and `floor(powf(..))` cannot disagree.
+const MARGIN: f64 = 1e-9;
 
 impl PowerLawSampler {
     /// Creates a sampler with exponent `theta`.
@@ -47,10 +67,13 @@ impl PowerLawSampler {
             theta.is_finite() && theta >= 0.0,
             "theta must be finite and non-negative, got {theta}"
         );
+        let one_minus = 1.0 - theta;
+        let sign = one_minus.signum();
         PowerLawSampler {
             theta,
             cached_max: 0,
             cached_span: 0.0,
+            thresholds: std::array::from_fn(|i| sign * ((i + 2) as f64).powf(one_minus)),
         }
     }
 
@@ -68,8 +91,12 @@ impl PowerLawSampler {
         if max <= 1 {
             return 1;
         }
+        self.depth(rng.gen_range(0.0..1.0), max)
+    }
+
+    /// The depth the uniform draw `u` maps to, for `max >= 2`.
+    fn depth(&mut self, u: f64, max: usize) -> usize {
         let n = max as f64;
-        let u: f64 = rng.gen_range(0.0..1.0);
         // Inverse CDF of the continuous density f(x) ∝ x^(-theta) on [1, n+1).
         let x = if (self.theta - 1.0).abs() < 1e-9 {
             // theta == 1: CDF(x) = ln(x) / ln(n+1)
@@ -81,9 +108,31 @@ impl PowerLawSampler {
                 self.cached_span = (n + 1.0).powf(one_minus) - 1.0;
             }
             // CDF(x) = (x^(1-θ) - 1) / ((n+1)^(1-θ) - 1)
-            (1.0 + u * self.cached_span).powf(1.0 / one_minus)
+            let v = 1.0 + u * self.cached_span;
+            if let Some(d) = self.depth_by_thresholds(one_minus.signum() * v, max) {
+                return d;
+            }
+            v.powf(1.0 / one_minus)
         };
         (x.floor() as usize).clamp(1, max)
+    }
+
+    /// `floor(x).clamp(1, max)` for `x = v^(1/(1-θ))`, read off the
+    /// threshold table from `key = σ·v`, or `None` where the table cannot
+    /// decide: `key` is within [`MARGIN`] of a threshold, or `x` may reach
+    /// past the table. `x >= d` exactly when `key >= thresholds[d - 2]`.
+    #[inline]
+    fn depth_by_thresholds(&self, key: f64, max: usize) -> Option<usize> {
+        let top = max.min(THRESHOLDS + 1);
+        for (d, &t) in (2..=top).zip(&self.thresholds) {
+            if (key - t).abs() <= MARGIN * t.abs() {
+                return None;
+            }
+            if key < t {
+                return Some(d - 1);
+            }
+        }
+        (top == max).then_some(max)
     }
 }
 
@@ -197,12 +246,12 @@ mod tests {
     proptest::proptest! {
         #[test]
         fn cached_normaliser_matches_closed_form(
-            theta_idx in 0usize..5,
+            theta_idx in 0usize..7,
             seed in 0u64..1_000,
             maxes in proptest::collection::vec(0usize..3_000, 1..120),
         ) {
             // θ = 1 takes the logarithmic branch; the rest share the cache.
-            let theta = [0.0, 1.0, 1.1, 1.4, 1.95][theta_idx];
+            let theta = [0.0, 0.5, 1.0, 1.1, 1.4, 1.95, 2.6][theta_idx];
             let mut sampler = PowerLawSampler::new(theta);
             let mut rng = StdRng::seed_from_u64(seed);
             let mut oracle_rng = StdRng::seed_from_u64(seed);
@@ -215,6 +264,62 @@ mod tests {
                     closed_form(theta, oracle_rng.gen_range(0.0..1.0), max)
                 };
                 proptest::prop_assert_eq!(got, want, "theta {} max {}", theta, max);
+            }
+        }
+
+        /// Draws whose `v` lands on, or within a few margins of, a depth
+        /// threshold (where the table must defer to `powf`), and draws
+        /// just past the table, still give the closed form's depth.
+        #[test]
+        fn threshold_table_matches_closed_form_near_thresholds(
+            theta_idx in 0usize..3,
+            max in 2usize..3_000,
+            d in 2usize..40,
+            offset in 0u64..8_001,
+            coarse in proptest::strategy::any::<bool>(),
+        ) {
+            let theta = [0.5, 1.1, 1.95][theta_idx];
+            let one_minus = 1.0 - theta;
+            let span = (max as f64 + 1.0).powf(one_minus) - 1.0;
+            // v = d^(1-θ), nudged by up to 4000 ulps or up to 4 margins
+            // either way, mapped back to u.
+            let step = if coarse { 1e-12 } else { f64::EPSILON };
+            let nudge = (offset as f64 - 4_000.0) * step;
+            let v = (d as f64).powf(one_minus) * (1.0 + nudge);
+            let u = (v - 1.0) / span;
+            if !(0.0..1.0).contains(&u) {
+                return Ok(());
+            }
+            let mut sampler = PowerLawSampler::new(theta);
+            proptest::prop_assert_eq!(
+                sampler.depth(u, max),
+                closed_form(theta, u, max),
+                "theta {} max {} d {} offset {}", theta, max, d, offset
+            );
+        }
+    }
+
+    /// Where the table decides a `v` within 64 ulps of a threshold (the
+    /// table's hardest cases: `powf` itself lands a few ulps either side of
+    /// the integer there), it decides as `floor(powf(..))` does, on both
+    /// sides of θ = 1.
+    #[test]
+    fn threshold_table_agrees_with_powf_at_every_threshold() {
+        for theta in [0.5, 1.1, 1.95] {
+            let one_minus: f64 = 1.0 - theta;
+            for max in [2usize, 3, 17, 33, 34, 40, 1_000] {
+                let sampler = PowerLawSampler::new(theta);
+                for d in 2..=THRESHOLDS + 3 {
+                    let t = (d as f64).powf(one_minus);
+                    for k in 0..=128u64 {
+                        let v = f64::from_bits(t.to_bits() + k - 64);
+                        let want = (v.powf(1.0 / one_minus).floor() as usize).clamp(1, max);
+                        if let Some(got) = sampler.depth_by_thresholds(one_minus.signum() * v, max)
+                        {
+                            assert_eq!(got, want, "theta {theta} max {max} d {d} v {v:e}");
+                        }
+                    }
+                }
             }
         }
     }

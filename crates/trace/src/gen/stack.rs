@@ -227,12 +227,15 @@ impl StackModel {
         };
 
         // Advance the sequential run within the region, or restart it.
+        // Both sizes are validated powers of two: a shift divides and a
+        // mask takes the remainder.
         if !self.rng.gen_bool(self.config.p_sequential) {
-            let words = self.config.region_size / self.config.access_size;
+            let words = self.config.region_size >> self.config.access_size.trailing_zeros();
             self.run_offset = self.rng.gen_range(0..words) * self.config.access_size;
         }
         let addr = self.base + region * self.config.region_size + self.run_offset;
-        self.run_offset = (self.run_offset + self.config.access_size) % self.config.region_size;
+        self.run_offset =
+            (self.run_offset + self.config.access_size) & (self.config.region_size - 1);
         self.stack[0].1 = self.run_offset;
 
         let kind = if self.rng.gen_bool(self.config.write_fraction) {
