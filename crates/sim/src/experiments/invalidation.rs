@@ -88,13 +88,15 @@ pub fn run_with(
             let mut empty_samples = 0.0f64;
             let mut samples = 0u64;
             let total_frames = l2.num_frames() as f64;
+            let mut resident = Vec::new();
             for event in AtumLike::new(params.trace.clone(), params.seed) {
                 if let TraceEvent::Ref(_) = event {
                     refs += 1;
                     if refs % period == 0 {
                         // Invalidate `burst` random resident blocks: a remote
                         // processor takes ownership of lines we share.
-                        let resident: Vec<u64> = h.l2().resident_addrs().collect();
+                        resident.clear();
+                        resident.extend(h.l2().resident_addrs());
                         if !resident.is_empty() {
                             for _ in 0..burst {
                                 let victim = resident[rng.gen_range(0..resident.len())];

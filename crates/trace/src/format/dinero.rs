@@ -19,8 +19,10 @@
 //!
 //! # Grammar
 //!
-//! The reader works on bytes: one pass over each line in the reader's
-//! buffer, allocating nothing unless the line is an error.
+//! The reader works on bytes: a single scan reads each line once where it
+//! lies in the reader's buffer, classifying every byte through one table
+//! as it splits the fields and decodes the address, and allocates nothing
+//! unless the line is an error.
 //!
 //! * Lines end at `\n`. A line is cut into fields at whitespace, which is
 //!   the ASCII set space, `\t`, `\n`, `\v`, `\f` and `\r` (so CRLF lines
@@ -39,7 +41,7 @@
 //! [`TraceFormatError::Io`]; and non-ASCII Unicode whitespace does not
 //! separate fields.
 
-use crate::format::{fields, parse_hex, LineReader, TraceFormatError};
+use crate::format::{Line, LineReader, TraceFormatError};
 use crate::record::{AccessKind, TraceEvent, TraceRecord};
 use std::io::{BufRead, Write};
 
@@ -146,23 +148,28 @@ impl<R: BufRead> DineroReader<R> {
 }
 
 /// Decodes one non-blank din line.
-fn parse_line(line: &[u8]) -> Result<Option<TraceEvent>, String> {
-    let mut fields = fields(line);
-    let label = fields.next().unwrap_or_default();
-    let addr_field = fields.next().ok_or("missing address")?;
+#[inline]
+fn decode(line: &Line<'_>) -> Result<Option<TraceEvent>, String> {
+    let addr_field = line.second.ok_or("missing address")?;
     // Dinero traces sometimes carry extra fields (e.g. padding); they are
-    // ignored, as Dinero itself ignores them.
-    let addr = parse_hex(addr_field)
+    // ignored, as Dinero itself ignores them. A `0x` prefix is not din.
+    let addr = line
+        .addr
+        .filter(|_| !line.hex_prefix)
         .ok_or_else(|| format!("bad address {:?}", String::from_utf8_lossy(addr_field)))?;
-    let event = match *label {
-        [LABEL_READ] | [LABEL_ESCAPE] => TraceEvent::Ref(TraceRecord::read(addr)),
-        [LABEL_WRITE] => TraceEvent::Ref(TraceRecord::write(addr)),
-        [LABEL_IFETCH] => TraceEvent::Ref(TraceRecord::ifetch(addr)),
+    let event = match *line.first {
+        // One arm for the three labels a trace interleaves, so that no
+        // branch tells them apart: `ALL` is in label order.
+        [label @ LABEL_READ..=LABEL_IFETCH] => TraceEvent::Ref(TraceRecord::new(
+            addr,
+            AccessKind::ALL[usize::from(label - LABEL_READ)],
+        )),
+        [LABEL_ESCAPE] => TraceEvent::Ref(TraceRecord::read(addr)),
         [LABEL_FLUSH] => TraceEvent::Flush,
         _ => {
             return Err(format!(
                 "unknown din label {:?}",
-                String::from_utf8_lossy(label)
+                String::from_utf8_lossy(line.first)
             ))
         }
     };
@@ -172,8 +179,9 @@ fn parse_line(line: &[u8]) -> Result<Option<TraceEvent>, String> {
 impl<R: BufRead> Iterator for DineroReader<R> {
     type Item = Result<TraceEvent, TraceFormatError>;
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
-        self.lines.next_event(parse_line)
+        self.lines.next_event(decode)
     }
 }
 
@@ -377,6 +385,36 @@ mod tests {
         w.write_event(&TraceEvent::Ref(TraceRecord::read(0xABCD)))
             .unwrap();
         assert_eq!(String::from_utf8(buf).unwrap(), "0 abcd\n");
+    }
+
+    /// Inputs at the scanner's edges decode as the `str` reader did:
+    /// prefixes, signs, overflow, every separator, and lines cut short.
+    #[test]
+    fn scanner_edge_cases_match_the_str_oracle() {
+        let inputs: [&[u8]; 16] = [
+            b"0 0x10\n0 0X1\n0 0x\n0 0\n",
+            b"0 +\n0 ++1\n0 +0x1\n0 -1\n0 1+\n",
+            b"0 ffffffffffffffff\n0 0000ffffffffffffffff\n0 10000000000000000\n",
+            b"0 fffffffffffffffff0 x\n1 1\n",
+            b"\x0b0\x0c10\r\n\t1\t20\t \r\n",
+            b"0\n0 \n 0\r\n4\n",
+            b"0 10 \n0 10 x y z\n0 10\t#\n",
+            b"00 1\n5 1\n 3 7\n4 0\n",
+            b"2 abcdef0123456789",
+            b"2 abc\r",
+            b"1 1\n\n\n",
+            b"\n\n0 1",
+            b"0 1\n1",
+            b"x\ny 1\n0 g\n",
+            b"",
+            b" ",
+        ];
+        for input in inputs {
+            let expected = outcomes(oracle::DineroReader::new(input));
+            for reader in readers(input) {
+                assert_eq!(outcomes(DineroReader::new(reader)), expected, "{input:?}");
+            }
+        }
     }
 
     proptest! {

@@ -32,50 +32,119 @@ use std::io::{BufRead, ErrorKind};
 /// input with no newline cannot grow the carry buffer without bound.
 pub(crate) const MAX_LINE: usize = 4096;
 
-/// The whitespace of both text formats: the ASCII members of
-/// [`char::is_whitespace`] (space, `\t`, `\n`, `\v`, `\f`, `\r`).
-pub(crate) fn is_space(b: u8) -> bool {
-    matches!(b, b' ' | b'\t'..=b'\r')
-}
+/// Byte classes up to 15 are hex digits and hold their value; up to
+/// `OTHER`, bytes inside a field.
+const OTHER: u8 = 16;
+/// The whitespace of both text formats other than `\n`: the ASCII members
+/// of [`char::is_whitespace`] (space, `\t`, `\v`, `\f`, `\r`).
+const SPACE: u8 = 17;
+const NEWLINE: u8 = 18;
+/// The class past the end of the scanned bytes.
+const END: u8 = 19;
 
-/// The whitespace-separated fields of `line`.
-pub(crate) fn fields(line: &[u8]) -> impl Iterator<Item = &[u8]> {
-    line.split(|&b| is_space(b)).filter(|f| !f.is_empty())
-}
-
-/// Each byte's value as a hex digit, or `0xff` if it is not one.
-const HEX_VALUE: [u8; 256] = {
-    let mut table = [0xff; 256];
-    let mut d = 0;
-    while d < 16 {
-        table[b"0123456789abcdef"[d] as usize] = d as u8;
-        table[b"0123456789ABCDEF"[d] as usize] = d as u8;
-        d += 1;
+/// Each byte's class.
+const CLASS: [u8; 256] = {
+    let mut table = [OTHER; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = match b as u8 {
+            d @ b'0'..=b'9' => d - b'0',
+            d @ b'a'..=b'f' => d - b'a' + 10,
+            d @ b'A'..=b'F' => d - b'A' + 10,
+            b' ' | b'\t' | 0x0b | 0x0c | b'\r' => SPACE,
+            b'\n' => NEWLINE,
+            _ => OTHER,
+        };
+        b += 1;
     }
     table
 };
 
-/// Decodes a hex address as `u64::from_str_radix(_, 16)` does: an optional
-/// `+`, then one or more hex digits whose value fits in a `u64`.
-pub(crate) fn parse_hex(digits: &[u8]) -> Option<u64> {
-    let digits = digits.strip_prefix(b"+").unwrap_or(digits);
-    if digits.is_empty() {
-        return None;
-    }
-    let mut value = 0u64;
-    for &b in digits {
-        let d = HEX_VALUE[usize::from(b)];
-        if d > 0xf || value >> 60 != 0 {
-            return None;
-        }
-        value = value << 4 | u64::from(d);
-    }
-    Some(value)
+/// What one scan found in a line: the fields the text grammars look at.
+pub(crate) struct Line<'a> {
+    /// The first field; empty if the line is blank.
+    pub(crate) first: &'a [u8],
+    pub(crate) second: Option<&'a [u8]>,
+    /// The second field's value, if it is an optional `0x` or `0X`, an
+    /// optional `+`, and hex digits whose value fits in a `u64`.
+    pub(crate) addr: Option<u64>,
+    /// Whether the second field opens with `0x` or `0X`.
+    pub(crate) hex_prefix: bool,
+    /// Whether a third field follows.
+    pub(crate) more: bool,
+    /// The bytes the line took up, its `\n` included.
+    used: usize,
+    /// Whether a `\n` ended the line, rather than the end of the bytes.
+    newline: bool,
 }
 
-/// The line loop shared by the text readers. It borrows each line from the
-/// reader's buffer and copies into `carry` only a line that straddles the
-/// end of the buffer. Lines are counted from 1, blank lines included.
+/// The class of `bytes[i]`, or `END` past the end.
+#[inline(always)]
+fn class(bytes: &[u8], i: usize) -> u8 {
+    bytes.get(i).map_or(END, |&b| CLASS[usize::from(b)])
+}
+
+/// The first index from `j` on whose class fails `keep`.
+#[inline(always)]
+fn skip(bytes: &[u8], mut j: usize, keep: impl Fn(u8) -> bool) -> usize {
+    while keep(class(bytes, j)) {
+        j += 1;
+    }
+    j
+}
+
+/// Reads the line at the front of `bytes` in one pass, each byte
+/// classified once through [`CLASS`]: it splits the first two fields,
+/// decodes the second one's hex value as it goes by, and notes whether
+/// more fields follow.
+// As `#[inline]` it stayed a call from other crates, and decoding a din
+// trace took 10–20% longer.
+#[inline(always)]
+fn scan(bytes: &[u8]) -> Line<'_> {
+    let class = |i: usize| class(bytes, i);
+    let in_field = |c| c <= OTHER;
+    let space = |c| c == SPACE;
+    let start = skip(bytes, 0, space);
+    let mut j = skip(bytes, start, in_field);
+    let first = &bytes[start..j];
+    let (mut second, mut addr, mut hex_prefix, mut more) = (None, None, false, false);
+    j = skip(bytes, j, space);
+    if in_field(class(j)) {
+        let start = j;
+        hex_prefix = bytes[j] == b'0' && matches!(bytes.get(j + 1), Some(b'x' | b'X'));
+        j += 2 * usize::from(hex_prefix);
+        j += usize::from(bytes.get(j) == Some(&b'+'));
+        let digits = j;
+        // `spill` gathers the digits shifted out of the top of `value`.
+        let (mut value, mut spill) = (0u64, 0);
+        while let d @ 0..=0xf = class(j) {
+            spill |= value >> 60;
+            value = value << 4 | u64::from(d);
+            j += 1;
+        }
+        addr = (spill == 0 && j > digits && !in_field(class(j))).then_some(value);
+        j = skip(bytes, j, in_field);
+        second = Some(&bytes[start..j]);
+        j = skip(bytes, j, space);
+        more = in_field(class(j));
+        j = skip(bytes, j, |c| c <= SPACE);
+    }
+    let newline = class(j) == NEWLINE;
+    Line {
+        first,
+        second,
+        addr,
+        hex_prefix,
+        more,
+        used: j + usize::from(newline),
+        newline,
+    }
+}
+
+/// The line loop shared by the text readers. It scans each line where it
+/// lies in the reader's buffer and copies into `carry` only a line that
+/// straddles the end of the buffer, which is then scanned again whole.
+/// Lines are counted from 1, blank lines included.
 #[derive(Debug)]
 pub(crate) struct LineReader<R> {
     inner: R,
@@ -96,15 +165,16 @@ impl<R: BufRead> LineReader<R> {
         }
     }
 
-    /// The next event: `parse` turns each non-blank line into an event,
+    /// The next event: `decode` turns each non-blank line into an event,
     /// `None` to skip the line, or an error message, which is reported at
     /// the line's number.
+    #[inline]
     pub(crate) fn next_event<F>(
         &mut self,
-        mut parse: F,
+        mut decode: F,
     ) -> Option<Result<TraceEvent, TraceFormatError>>
     where
-        F: FnMut(&[u8]) -> Result<Option<TraceEvent>, String>,
+        F: FnMut(&Line<'_>) -> Result<Option<TraceEvent>, String>,
     {
         loop {
             let buf = match self.inner.fill_buf() {
@@ -112,52 +182,44 @@ impl<R: BufRead> LineReader<R> {
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(e) => return Some(Err(e.into())),
             };
-            if self.skip_rest {
-                let (used, done) = match buf.iter().position(|&b| b == b'\n') {
-                    Some(i) => (i + 1, true),
-                    None => (buf.len(), buf.is_empty()),
-                };
-                self.inner.consume(used);
-                self.skip_rest = !done;
-                continue;
-            }
-            // Look for the newline only as far as the longest line allowed.
+            // Scan only as far as the longest line allowed.
             let room = MAX_LINE - self.carry.len();
             let window = &buf[..buf.len().min(room + 1)];
-            let (line, used) = match window.iter().position(|&b| b == b'\n') {
-                Some(i) if self.carry.is_empty() => (&buf[..i], i + 1),
-                Some(i) => {
-                    self.carry.extend_from_slice(&buf[..i]);
-                    (self.carry.as_slice(), i + 1)
-                }
-                None if buf.is_empty() && self.carry.is_empty() => return None,
-                // The input's last line, without a newline.
-                None if buf.is_empty() => (self.carry.as_slice(), 0),
-                None if window.len() > room => {
-                    self.carry.clear();
-                    self.skip_rest = true;
-                    self.line_no += 1;
-                    return Some(Err(TraceFormatError::Parse {
-                        position: self.line_no,
-                        message: format!("line longer than {MAX_LINE} bytes"),
-                    }));
-                }
-                None => {
-                    self.carry.extend_from_slice(buf);
-                    let used = buf.len();
+            let mut line = scan(window);
+            let used = line.used;
+            if self.skip_rest {
+                self.skip_rest = !line.newline && !window.is_empty();
+                self.inner.consume(used);
+                continue;
+            }
+            let over_long = !line.newline && window.len() > room;
+            if !line.newline && !over_long {
+                if !window.is_empty() {
+                    self.carry.extend_from_slice(window);
                     self.inner.consume(used);
                     continue;
                 }
-            };
+                // The end of the input: the carry is its last line.
+                if self.carry.is_empty() {
+                    return None;
+                }
+            }
+            if !self.carry.is_empty() {
+                self.carry.extend_from_slice(&window[..used]);
+                line = scan(&self.carry);
+            }
             self.line_no += 1;
-            let parsed = if line.iter().all(|&b| is_space(b)) {
+            self.skip_rest = over_long;
+            let decoded = if over_long {
+                Err(format!("line longer than {MAX_LINE} bytes"))
+            } else if line.first.is_empty() {
                 Ok(None)
             } else {
-                parse(line)
+                decode(&line)
             };
             self.inner.consume(used);
             self.carry.clear();
-            match parsed {
+            match decoded {
                 Ok(Some(event)) => return Some(Ok(event)),
                 Ok(None) => continue,
                 Err(message) => {
@@ -364,18 +426,26 @@ mod tests {
     }
 
     #[test]
-    fn whitespace_is_the_ascii_part_of_char_whitespace() {
+    fn byte_classes_match_the_char_predicates() {
         for b in 0..=u8::MAX {
+            let class = CLASS[usize::from(b)];
+            // Whitespace is the ASCII part of `char::is_whitespace`.
             assert_eq!(
-                is_space(b),
+                class == SPACE || class == NEWLINE,
                 b.is_ascii() && char::from(b).is_whitespace(),
+                "{b}"
+            );
+            assert_eq!(class == NEWLINE, b == b'\n', "{b}");
+            assert_eq!(
+                (class <= 0xf).then_some(u32::from(class)),
+                char::from(b).to_digit(16),
                 "{b}"
             );
         }
     }
 
     #[test]
-    fn parse_hex_matches_from_str_radix() {
+    fn address_field_matches_from_str_radix() {
         let cases = [
             "",
             "+",
@@ -390,16 +460,40 @@ mod tests {
             "ffffffffffffffff",
             "0ffffffffffffffff",
             "10000000000000000",
-            "1 2",
+            "1+2",
+            "++1",
             "0x1",
         ];
         for case in cases {
-            assert_eq!(
-                parse_hex(case.as_bytes()),
-                u64::from_str_radix(case, 16).ok(),
-                "{case:?}"
-            );
+            let expected = u64::from_str_radix(case, 16).ok();
+            let plain = format!("0 {case}\n");
+            let line = scan(plain.as_bytes());
+            assert_eq!(line.addr.filter(|_| !line.hex_prefix), expected, "{case:?}");
+            // With a `0x` prefix, the digits after it are read alike.
+            let prefixed = format!("0 0x{case}\n");
+            let line = scan(prefixed.as_bytes());
+            assert!(line.hex_prefix, "{case:?}");
+            assert_eq!(line.addr, expected, "0x{case:?}");
         }
+    }
+
+    #[test]
+    fn scan_reports_fields_and_the_bytes_used() {
+        let line = scan(b" \t2\x0b+0Ab x y\r\nnext");
+        assert!(line.newline);
+        assert_eq!(line.used, 14);
+        assert_eq!(line.first, b"2");
+        assert_eq!(line.second, Some(&b"+0Ab"[..]));
+        assert_eq!(line.addr, Some(0xab));
+        assert!(line.more);
+        let line = scan(b"r 0x1");
+        assert!(!line.newline);
+        assert_eq!(line.used, 5);
+        assert_eq!(line.addr, Some(1));
+        assert!(!line.more);
+        let line = scan(b" \r\n");
+        assert!(line.newline);
+        assert!(line.first.is_empty() && line.second.is_none());
     }
 
     #[test]

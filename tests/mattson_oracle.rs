@@ -10,11 +10,14 @@
 //! [`MattsonAnalyzer`] with the L2's block size and set count. The same
 //! request stream then drives a bare [`SetBank`] and a one-client
 //! [`ConcurrentCache`], whose reported facts must match the stack too.
+//! The processor stream itself, flushes included, drives a plain
+//! [`Cache`] at associativities 1 to 8 against a stack of its own; a = 1
+//! is the direct-mapped L1 of every hierarchy here.
 
 use proptest::prelude::*;
 use seta::cache::{
-    AddressMapper, CacheConfig, L2Observer, L2RequestKind, L2RequestView, MattsonAnalyzer, Policy,
-    SetBank, TwoLevel,
+    AddressMapper, Cache, CacheConfig, L2Observer, L2RequestKind, L2RequestView, MattsonAnalyzer,
+    Policy, SetBank, TwoLevel,
 };
 use seta::core::lookup::Mru;
 use seta::core::{MruDistanceHistogram, StrategyKind};
@@ -146,6 +149,36 @@ fn check_banks(l2: CacheConfig, stream: &[Request]) {
     }
 }
 
+/// Replays the processor stream into a plain `Cache`, checking each
+/// access against a fresh stack with that cache's block size and set
+/// count. Returns how many hits were below the MRU position.
+fn check_cache(config: CacheConfig, events: &[TraceEvent]) -> usize {
+    let mut cache = Cache::new(config);
+    let mut deep_hits = 0;
+    let mut stack = MattsonAnalyzer::new(config.block_size(), config.num_sets());
+    let assoc = config.associativity() as usize;
+    for event in events {
+        let TraceEvent::Ref(r) = event else {
+            stack.flush();
+            cache.flush();
+            continue;
+        };
+        let distance = stack.observe(r.addr).filter(|&d| d < assoc);
+        let access = cache.access(r.addr, r.kind.is_write());
+        assert_eq!(access.hit, distance.is_some(), "cache hit at {:#x}", r.addr);
+        assert_eq!(
+            access.mru_distance, distance,
+            "cache distance at {:#x}",
+            r.addr
+        );
+        deep_hits += usize::from(distance.is_some_and(|d| d > 0));
+    }
+    deep_hits
+}
+
+/// The associativities a plain `Cache` is checked at.
+const CACHE_ASSOCS: [u32; 4] = [1, 2, 4, 8];
+
 fn small_l1() -> CacheConfig {
     CacheConfig::direct_mapped(256, 16).unwrap()
 }
@@ -182,6 +215,9 @@ proptest! {
         }
         let stream = check_hierarchy(small_l1(), l2, &events);
         check_banks(l2, &stream);
+        for assoc in CACHE_ASSOCS {
+            check_cache(CacheConfig::new(256 * u64::from(assoc), 16, assoc).unwrap(), &events);
+        }
     }
 }
 
@@ -204,6 +240,10 @@ fn paper_trace_matches_the_lru_stack() {
         assert_eq!(flushes, events.iter().filter(|e| e.is_flush()).count());
         assert!(flushes > 0, "segments are cold-started");
         check_banks(l2, &stream);
+    }
+    for assoc in CACHE_ASSOCS {
+        let deep_hits = check_cache(CacheConfig::new(4 * 1024, 16, assoc).unwrap(), &events);
+        assert_eq!(deep_hits > 0, assoc > 1, "a = {assoc}");
     }
 }
 
