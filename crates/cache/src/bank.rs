@@ -1,17 +1,23 @@
 //! Set-local storage shared by [`Cache`](crate::Cache) and concurrent
 //! front-ends.
 //!
-//! A [`SetBank`] owns the tags and flags, replacement state, statistics,
-//! and optional packed tag lanes for a contiguous range of sets, addressed by
+//! A [`SetBank`] owns the tags and flags, replacement state and optional
+//! packed tag lanes for a contiguous range of sets, addressed by
 //! `(set, tag)` rather than by full address. [`Cache`](crate::Cache) wraps
 //! one bank spanning the whole cache behind an
 //! [`AddressMapper`](crate::AddressMapper); a striped concurrent cache wraps many small
 //! banks, each behind its own lock, without re-implementing any of the
 //! fill/evict/recency logic.
+//!
+//! The bank keeps no counters. Every access returns a [`BankAccess`], and
+//! the bank's owner counts from it
+//! ([`CacheStats::record`](crate::CacheStats::record)) wherever suits it:
+//! [`Cache`](crate::Cache) in one [`CacheStats`](crate::CacheStats) of its own, a
+//! concurrent cache in a tally per client, so no request writes a counter
+//! that another client's requests also write.
 
 use crate::block::Frame;
 use crate::replacement::{Policy, ReplacementState};
-use crate::stats::CacheStats;
 use seta_core::packed::{LaneSpec, LaneView, PackedLanes};
 
 /// Flag bit: the way holds a block.
@@ -126,8 +132,9 @@ impl std::fmt::Debug for SetFrames<'_> {
 }
 
 /// The set-local storage of a set-associative write-back cache: tags and
-/// flags, recency, statistics, and (optionally) the packed-lane mirror of
-/// the stored tags. Works purely in `(set, tag)` space — it knows nothing
+/// flags, recency, and (optionally) the packed-lane mirror of the stored
+/// tags. It counts nothing: callers count from the [`BankAccess`] each
+/// access returns. Works purely in `(set, tag)` space — it knows nothing
 /// of block sizes or addresses.
 ///
 /// Each set is a run of `assoc` tags in one flat `u64` array plus a run of
@@ -141,7 +148,6 @@ pub struct SetBank {
     tags: Vec<u64>,
     flags: Vec<u8>,
     replacement: ReplacementState,
-    stats: CacheStats,
     /// Packed-lane mirror of the stored tags for SWAR partial compares
     /// (see [`seta_core::packed`]); kept coherent with `tags` at every
     /// tag write. `None` until [`enable_partial_lanes`](Self::enable_partial_lanes).
@@ -158,7 +164,6 @@ impl SetBank {
             tags: vec![0; num_sets * assoc],
             flags: vec![0; num_sets * assoc],
             replacement: ReplacementState::new(policy, num_sets, assoc, seed),
-            stats: CacheStats::new(),
             lanes: None,
         }
     }
@@ -172,17 +177,6 @@ impl SetBank {
     #[inline]
     pub fn assoc(&self) -> usize {
         self.assoc
-    }
-
-    /// Accumulated statistics.
-    #[inline]
-    pub fn stats(&self) -> &CacheStats {
-        &self.stats
-    }
-
-    /// Resets the statistics without touching contents.
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
     }
 
     /// The frames of one set, indexed by way.
@@ -311,7 +305,6 @@ impl SetBank {
         };
         self.replacement.touch_at(set, pos);
         self.flags[set * self.assoc + way as usize] |= u8::from(is_write) * DIRTY;
-        self.stats.record_access(true, is_write);
         BankAccess {
             hit: true,
             way,
@@ -338,9 +331,7 @@ impl SetBank {
         };
         let w = way as usize;
         let victim = flags[w];
-        let (valid, dirty) = (victim & VALID != 0, victim & DIRTY != 0);
-        self.stats.record_displaced(valid, dirty);
-        let evicted = valid.then_some((tags[w], dirty));
+        let evicted = (victim & VALID != 0).then_some((tags[w], victim & DIRTY != 0));
         tags[w] = tag;
         flags[w] = VALID | (u8::from(is_write) * DIRTY);
         // The fill is the only operation that writes a tag, so it is the
@@ -349,7 +340,6 @@ impl SetBank {
             lanes.on_fill(set, w, tag);
         }
         self.debug_check_lanes(set);
-        self.stats.record_access(false, is_write);
         BankAccess {
             hit: false,
             way,
@@ -358,8 +348,8 @@ impl SetBank {
         }
     }
 
-    /// Invalidates every block and resets recency lists (statistics are
-    /// kept). See [`Cache::flush`](crate::Cache::flush).
+    /// Invalidates every block and resets recency lists. See
+    /// [`Cache::flush`](crate::Cache::flush).
     pub fn flush(&mut self) {
         self.flags.fill(0);
         self.replacement.reset();
@@ -389,6 +379,7 @@ impl SetBank {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::CacheStats;
     use proptest::prelude::*;
 
     fn bank() -> SetBank {
@@ -429,15 +420,16 @@ mod tests {
     }
 
     #[test]
-    fn flush_and_invalidate_keep_stats() {
+    fn flush_and_invalidate_drop_blocks() {
         let mut b = bank();
         b.access(2, 0x5, false);
         assert!(b.invalidate(2, 0x5));
         assert!(!b.invalidate(2, 0x5));
+        assert!(!b.access(2, 0x5, false).hit, "an invalidated block misses");
         b.access(2, 0x6, false);
         b.flush();
         assert_eq!(b.resident_blocks(), 0);
-        assert_eq!(b.stats().accesses(), 2);
+        assert!(!b.access(2, 0x6, false).hit, "a flushed block misses");
     }
 
     #[test]
@@ -517,7 +509,8 @@ mod tests {
     /// [`Frame`] per way, searched frame by frame, with its own recency
     /// lists (remove and re-insert), victim choice and counters. The
     /// differential oracle for the flat store and its `locate`/`apply`
-    /// split; it shares no replacement or statistics code with the bank.
+    /// split, and for `CacheStats::record` counting from what `apply`
+    /// returns; it shares no replacement or statistics code with either.
     struct FrameBank {
         assoc: usize,
         policy: Policy,
@@ -666,8 +659,9 @@ mod tests {
         /// The flat tag/flag store behaves exactly like the frame store it
         /// replaced: `locate` finds the model's hit way and recency
         /// position before every access, and `apply` on that result gives
-        /// the model's outcome, frames, recency lists, counters, resident
-        /// set and (with lanes on) lane words.
+        /// the model's outcome, frames, recency lists, resident set and
+        /// (with lanes on) lane words; the counters recorded from every
+        /// outcome match the model's.
         #[test]
         fn flat_store_matches_frame_store(
             ops in proptest::collection::vec(op(), 1..240),
@@ -681,6 +675,7 @@ mod tests {
             let assoc = [1usize, 2, 4, 8, 16][assoc_idx];
             let tags = 2 * assoc as u64 + 2;
             let mut flat = SetBank::new(4, assoc, policy, seed);
+            let mut stats = CacheStats::new();
             let mut model = FrameBank::new(4, assoc, policy, seed);
             // A one-way set has no lanes to pack.
             if let Some(spec) =
@@ -695,10 +690,9 @@ mod tests {
                         let tag = tag % tags;
                         let found = flat.locate(set, tag);
                         prop_assert_eq!(found, model.locate(set, tag));
-                        prop_assert_eq!(
-                            flat.apply(set, tag, write, found),
-                            model.access(set, tag, write)
-                        );
+                        let access = flat.apply(set, tag, write, found);
+                        stats.record(&access, write);
+                        prop_assert_eq!(access, model.access(set, tag, write));
                     }
                     Op::Invalidate { set, tag } => {
                         let tag = tag % tags;
@@ -725,7 +719,7 @@ mod tests {
                         prop_assert_eq!(view.words(), lanes.view(set).words());
                     }
                 }
-                let s = flat.stats();
+                let s = &stats;
                 prop_assert_eq!(
                     [
                         s.hits(),

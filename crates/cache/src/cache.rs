@@ -54,10 +54,12 @@ pub struct AccessResult {
 pub struct Cache {
     config: CacheConfig,
     mapper: AddressMapper,
-    /// All set-local state (tags, flags, recency, stats, packed lanes) lives in
+    /// All set-local state (tags, flags, recency, packed lanes) lives in
     /// one [`SetBank`] spanning every set; `Cache` adds the address
     /// mapping on top.
     bank: SetBank,
+    /// Counted from every access the bank reports.
+    stats: CacheStats,
 }
 
 impl Cache {
@@ -79,6 +81,7 @@ impl Cache {
             config,
             mapper,
             bank: SetBank::new(num_sets, assoc, policy, seed),
+            stats: CacheStats::new(),
         }
     }
 
@@ -119,12 +122,12 @@ impl Cache {
     /// Accumulated statistics.
     #[inline]
     pub fn stats(&self) -> &CacheStats {
-        self.bank.stats()
+        &self.stats
     }
 
     /// Resets the statistics without touching contents.
     pub fn reset_stats(&mut self) {
-        self.bank.reset_stats();
+        self.stats.reset();
     }
 
     /// The frames of one set, indexed by way.
@@ -188,7 +191,19 @@ impl Cache {
         is_write: bool,
         found: Option<(u8, usize)>,
     ) -> AccessResult {
-        let r = self.bank.apply(Self::set_index(set), tag, is_write, found);
+        // Counted on each side of the hit test, where the compiler knows a
+        // hit evicts nothing: one count after the two sides join measured
+        // ≈1 ns slower per access on a direct-mapped L1.
+        let i = Self::set_index(set);
+        let r = if found.is_some() {
+            let r = self.bank.apply(i, tag, is_write, found);
+            self.stats.record(&r, is_write);
+            r
+        } else {
+            let r = self.bank.apply(i, tag, is_write, None);
+            self.stats.record(&r, is_write);
+            r
+        };
         AccessResult {
             hit: r.hit,
             way: r.way,

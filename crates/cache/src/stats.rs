@@ -1,5 +1,6 @@
 //! Per-cache access statistics.
 
+use crate::bank::BankAccess;
 use serde::{Deserialize, Serialize};
 
 /// Hit/miss and eviction counters for one cache.
@@ -42,6 +43,20 @@ impl CacheStats {
         self.write_misses += miss & write;
     }
 
+    /// Records one [`SetBank`](crate::SetBank) access from the outcome the
+    /// bank returned: a hit or a miss, and on an evicting miss the
+    /// displaced block, dirty or clean. The bank keeps no counters of its
+    /// own, so its owner counts here, in memory it alone writes.
+    #[inline]
+    pub fn record(&mut self, access: &BankAccess, is_write: bool) {
+        self.record_access(access.hit, is_write);
+        let (valid, dirty) = match access.evicted {
+            Some((_, dirty)) => (true, dirty),
+            None => (false, false),
+        };
+        self.record_displaced(valid, dirty);
+    }
+
     /// Records an eviction, dirty or clean.
     #[inline]
     pub fn record_eviction(&mut self, dirty: bool) {
@@ -52,7 +67,7 @@ impl CacheStats {
     /// a dirty one if it was also `dirty`. A fill into an empty frame
     /// (`valid == false`) counts nothing.
     #[inline]
-    pub(crate) fn record_displaced(&mut self, valid: bool, dirty: bool) {
+    fn record_displaced(&mut self, valid: bool, dirty: bool) {
         self.evictions += u64::from(valid);
         self.dirty_evictions += u64::from(valid & dirty);
     }
@@ -178,6 +193,32 @@ mod tests {
         s.record_displaced(true, false);
         s.record_displaced(true, true);
         assert_eq!((s.evictions(), s.dirty_evictions()), (2, 1));
+    }
+
+    #[test]
+    fn record_counts_a_bank_access_and_its_victim() {
+        let access = |hit, evicted| BankAccess {
+            hit,
+            way: 0,
+            mru_distance: hit.then_some(0),
+            evicted,
+        };
+        let mut s = CacheStats::new();
+        s.record(&access(true, None), true);
+        s.record(&access(false, None), false);
+        s.record(&access(false, Some((0x1, false))), true);
+        s.record(&access(false, Some((0x2, true))), false);
+        assert_eq!(
+            [
+                s.hits(),
+                s.misses(),
+                s.write_hits(),
+                s.write_misses(),
+                s.evictions(),
+                s.dirty_evictions(),
+            ],
+            [1, 3, 1, 1, 2, 1]
+        );
     }
 
     #[test]

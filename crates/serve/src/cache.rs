@@ -12,11 +12,20 @@
 //! ([`StrategyKind::price`]), from what the bank's access reports — the
 //! hit way and MRU distance — so the critical section is the set access
 //! and no set snapshot.
+//!
+//! A request writes only the mutex word, its set, and its own client's
+//! counters. The bank counts nothing; each stripe keeps one
+//! tally per client slot, each in its own 128 bytes, and a
+//! request counts into its client's tally from the access the bank
+//! returned. The stripe's fields start on a line after the mutex word's.
+//! With one shared tally per stripe, next to the mutex word, those lines
+//! moved between cores on nearly every request, and two clients at 16
+//! stripes ran no faster than one.
 
 use seta_cache::{AddressMapper, CacheConfig, CacheStats, Policy, SetBank};
 use seta_core::{PricedSet, ProbeStats, StrategyKind, MAX_ASSOC};
 use seta_obs::{ContentionObserver, NoContention};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Outcome of one [`ConcurrentCache`] request.
@@ -35,12 +44,30 @@ pub struct Response {
     pub stripe: usize,
 }
 
-/// One stripe: a contiguous range of sets behind one lock, with its own
-/// probe accounting.
+/// What one client's requests to one stripe counted: the accesses and
+/// what the lookup strategy spent on them. Aligned to 128 bytes, a pair
+/// of cache lines, so that no two clients' tallies share a line, nor
+/// does a tally share one with the adjacent-line prefetcher's partner.
+#[derive(Debug, Clone, Default)]
+#[repr(align(128))]
+struct ClientTally {
+    stats: CacheStats,
+    probes: ProbeStats,
+}
+
+/// One stripe: a contiguous range of sets behind one lock, with one tally
+/// per client slot.
+///
+/// Aligned to 128 bytes, so inside its `Mutex` the stripe starts on a line
+/// of its own, after the mutex word's. A client that waits for the lock
+/// writes that word; were the bank's and tallies' pointers on the same
+/// line, every such write would take away the line the holder reads them
+/// from, in the middle of its critical section.
 #[derive(Debug)]
+#[repr(align(128))]
 struct Stripe {
     bank: SetBank,
-    probes: ProbeStats,
+    tallies: Box<[ClientTally]>,
 }
 
 /// A sharded concurrent set-associative write-back cache.
@@ -95,6 +122,19 @@ impl ConcurrentCache {
     /// Panics if `config` has more than [`MAX_ASSOC`] ways: the lookups
     /// are defined over sets of at most that many.
     pub fn new(config: CacheConfig, strategy: StrategyKind, stripes: usize) -> Self {
+        Self::with_clients(config, strategy, stripes, 1)
+    }
+
+    /// [`new`](Self::new) with `clients` tally slots in every stripe. A
+    /// request made through [`request`](Self::request) as client `c`
+    /// counts into slot `c`; the public request methods count into
+    /// slot 0.
+    pub(crate) fn with_clients(
+        config: CacheConfig,
+        strategy: StrategyKind,
+        stripes: usize,
+        clients: usize,
+    ) -> Self {
         let num_sets = config.num_sets();
         let assoc = config.associativity() as usize;
         assert!(
@@ -115,7 +155,7 @@ impl ConcurrentCache {
                 }
                 Mutex::new(Stripe {
                     bank,
-                    probes: ProbeStats::new(),
+                    tallies: vec![ClientTally::default(); clients.max(1)].into(),
                 })
             })
             .collect();
@@ -157,14 +197,14 @@ impl ConcurrentCache {
     /// A read-in request: the service's `get`. Prices the lookup, then
     /// fills on a miss (evicting if needed).
     pub fn read_in(&self, addr: u64) -> Response {
-        self.request(addr, false, &mut NoContention)
+        self.request(0, addr, false, &mut NoContention)
     }
 
     /// A write-back request: the service's `insert`. Under the write-back
     /// optimization it costs zero probes — the L1's position hint replaces
     /// the search — but still counts as an access.
     pub fn write_back(&self, addr: u64) -> Response {
-        self.request(addr, true, &mut NoContention)
+        self.request(0, addr, true, &mut NoContention)
     }
 
     /// Alias for [`read_in`](Self::read_in) in service terms.
@@ -184,16 +224,25 @@ impl ConcurrentCache {
     /// request path — no clock reads, no observer calls — so contents,
     /// statistics and probes are bit-identical with any observer.
     pub fn read_in_observed<O: ContentionObserver>(&self, addr: u64, obs: &mut O) -> Response {
-        self.request(addr, false, obs)
+        self.request(0, addr, false, obs)
     }
 
     /// [`write_back`](Self::write_back) with contention attribution.
     pub fn write_back_observed<O: ContentionObserver>(&self, addr: u64, obs: &mut O) -> Response {
-        self.request(addr, true, obs)
+        self.request(0, addr, true, obs)
     }
 
-    fn request<O: ContentionObserver>(
+    /// One request as client `client`: a write-back if `is_write_back`,
+    /// else a read-in, counted into that client's tally slot of the
+    /// serving stripe.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `client` is not below the slot count the cache was built
+    /// with ([`with_clients`](Self::with_clients)).
+    pub(crate) fn request<O: ContentionObserver>(
         &self,
+        client: usize,
         addr: u64,
         is_write_back: bool,
         obs: &mut O,
@@ -210,7 +259,7 @@ impl ConcurrentCache {
         } else {
             None
         };
-        let mut guard = self.stripes[stripe_idx].lock().expect("stripe poisoned");
+        let mut guard = self.stripe(stripe_idx);
         let acquired = if O::ENABLED {
             Some(Instant::now())
         } else {
@@ -249,8 +298,10 @@ impl ConcurrentCache {
         });
 
         let r = stripe.bank.access(local, tag, is_write_back);
+        let tally = &mut stripe.tallies[client];
+        tally.stats.record(&r, is_write_back);
         let probes = if is_write_back {
-            stripe.probes.record_write_back(0);
+            tally.probes.record_write_back(0);
             0
         } else {
             let hit_way = r.hit.then_some(r.way);
@@ -265,9 +316,9 @@ impl ConcurrentCache {
                 self.strategy.name()
             );
             if r.hit {
-                stripe.probes.record_hit(probes);
+                tally.probes.record_hit(probes);
             } else {
-                stripe.probes.record_miss(probes);
+                tally.probes.record_miss(probes);
             }
             probes
         };
@@ -292,48 +343,62 @@ impl ConcurrentCache {
         response
     }
 
-    /// Merged access statistics across all stripes.
-    pub fn stats(&self) -> CacheStats {
-        self.stripes
-            .iter()
-            .map(|s| *s.lock().expect("stripe poisoned").bank.stats())
-            .sum()
+    /// Locks stripe `i`: the one way anything reaches a stripe.
+    ///
+    /// Poisoning policy: fail stop, one stripe at a time. A request that
+    /// panics while it holds a stripe (a failed debug check of the
+    /// pricer, say) may leave a set half updated, since a fill writes the
+    /// tag, then its flags, then the packed lanes. So no one reads that
+    /// stripe again: every later lock of it, by a request, a statistics
+    /// or occupancy read, or a flush, panics and names the stripe. The
+    /// other stripes keep serving, and a replay re-raises the panic when
+    /// it joins the client that hit it.
+    #[inline]
+    fn stripe(&self, i: usize) -> MutexGuard<'_, Stripe> {
+        self.stripes[i].lock().unwrap_or_else(|_| {
+            panic!("stripe {i} poisoned: a request panicked while holding it, so its sets may be half updated")
+        })
     }
 
-    /// Merged probe statistics across all stripes.
+    /// Every stripe's client tallies, summed.
+    fn total(&self) -> ClientTally {
+        let mut total = ClientTally::default();
+        for i in 0..self.stripes.len() {
+            for t in self.stripe(i).tallies.iter() {
+                total.stats += t.stats;
+                total.probes = total.probes + t.probes;
+            }
+        }
+        total
+    }
+
+    /// Merged access statistics across all stripes and client slots.
+    pub fn stats(&self) -> CacheStats {
+        self.total().stats
+    }
+
+    /// Merged probe statistics across all stripes and client slots.
     pub fn probe_stats(&self) -> ProbeStats {
-        self.stripes
-            .iter()
-            .map(|s| s.lock().expect("stripe poisoned").probes)
-            .fold(ProbeStats::new(), |a, b| a + b)
+        self.total().probes
     }
 
     /// Valid blocks in one set (for occupancy comparisons).
     pub fn occupancy(&self, set: u64) -> usize {
         let stripe_idx = (set / self.sets_per_stripe) as usize;
         let local = (set % self.sets_per_stripe) as usize;
-        self.stripes[stripe_idx]
-            .lock()
-            .expect("stripe poisoned")
-            .bank
-            .occupancy(local)
+        self.stripe(stripe_idx).bank.occupancy(local)
     }
 
     /// Valid blocks across all sets of one lock stripe (for the
     /// contention report's per-stripe occupancy column).
     pub fn stripe_occupancy(&self, stripe: usize) -> usize {
-        self.stripes[stripe]
-            .lock()
-            .expect("stripe poisoned")
-            .bank
-            .resident_blocks()
+        self.stripe(stripe).bank.resident_blocks()
     }
 
     /// Valid blocks across the whole cache.
     pub fn resident_blocks(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|s| s.lock().expect("stripe poisoned").bank.resident_blocks())
+        (0..self.stripes.len())
+            .map(|i| self.stripe_occupancy(i))
             .sum()
     }
 
@@ -341,8 +406,8 @@ impl ConcurrentCache {
     /// order across stripes.
     pub fn resident_addrs(&self) -> Vec<u64> {
         let mut out = Vec::new();
-        for (i, stripe) in self.stripes.iter().enumerate() {
-            let guard = stripe.lock().expect("stripe poisoned");
+        for i in 0..self.stripes.len() {
+            let guard = self.stripe(i);
             let base = i as u64 * self.sets_per_stripe;
             out.extend(
                 guard
@@ -358,8 +423,8 @@ impl ConcurrentCache {
     /// kept). Stripes are flushed one at a time — concurrent requests
     /// observe each stripe either before or after its flush, never mid-set.
     pub fn flush(&self) {
-        for stripe in &self.stripes {
-            stripe.lock().expect("stripe poisoned").bank.flush();
+        for i in 0..self.stripes.len() {
+            self.stripe(i).bank.flush();
         }
     }
 }
@@ -456,6 +521,28 @@ mod tests {
     }
 
     #[test]
+    fn client_slots_sum_to_the_one_slot_counts() {
+        // The same stream, spread over three clients' tally slots, counts
+        // what one slot counts: slots split the counting, never the cache.
+        let one = small(4);
+        let three = ConcurrentCache::with_clients(*one.config(), one.strategy(), 4, 3);
+        for i in 0..300u64 {
+            let (addr, write_back) = ((i * 7919) % 0x2000, i % 3 == 0);
+            let a = one.request(0, addr, write_back, &mut NoContention);
+            let b = three.request((i % 3) as usize, addr, write_back, &mut NoContention);
+            assert_eq!(a, b, "request {i}");
+        }
+        assert_eq!(one.stats(), three.stats());
+        assert_eq!(one.probe_stats(), three.probe_stats());
+        let slot = |c: &ConcurrentCache, i: usize| -> u64 {
+            (0..c.num_stripes())
+                .map(|s| c.stripe(s).tallies[i].stats.accesses())
+                .sum()
+        };
+        assert_eq!([0, 1, 2].map(|i| slot(&three, i)), [100; 3]);
+    }
+
+    #[test]
     fn observed_requests_attribute_to_the_serving_stripe() {
         use seta_obs::StripeContention;
         let c = small(4);
@@ -515,12 +602,46 @@ mod tests {
     }
 
     #[test]
+    fn a_poisoned_stripe_fails_stop_while_the_others_serve() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        // 16 sets in 4 stripes: sets 0..4 in stripe 0, sets 4..8 in stripe 1.
+        let c = small(4);
+        let (in_0, in_1) = (0x000, 4 * 16);
+        c.get(in_0);
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _held = c.stripe(0);
+                panic!("a request fails while it holds stripe 0");
+            });
+            assert!(holder.join().is_err());
+        });
+        let refusal = |f: &dyn Fn()| {
+            let payload = catch_unwind(AssertUnwindSafe(f)).expect_err("stripe 0 is refused");
+            payload.downcast::<String>().map(|m| *m).unwrap_or_default()
+        };
+        for message in [
+            refusal(&|| {
+                c.get(in_0);
+            }),
+            refusal(&|| {
+                c.stats();
+            }),
+            refusal(&|| c.flush()),
+        ] {
+            assert!(message.starts_with("stripe 0 poisoned"), "{message}");
+        }
+        assert!(!c.get(in_1).hit, "stripe 1 still serves");
+        assert!(c.get(in_1).hit);
+        assert_eq!(c.stripe_occupancy(1), 1);
+    }
+
+    #[test]
     fn partial_strategy_uses_packed_lanes() {
         use seta_core::lookup::{PartialCompare, TransformKind};
         let strategy = StrategyKind::Partial(PartialCompare::new(16, 2, TransformKind::XorFold));
         let packed = ConcurrentCache::new(CacheConfig::new(512, 16, 2).unwrap(), strategy, 4);
         assert!(packed.scans, "partial compare reads the set before access");
-        let bank_spec = packed.stripes[0].lock().unwrap().bank.lane_spec();
+        let bank_spec = packed.stripe(0).bank.lane_spec();
         assert!(bank_spec.is_some(), "lanes maintained for partial");
         // Same probe pricing as an unpacked reference? The packed path is
         // an internal fast path; contents and probes must match a cache

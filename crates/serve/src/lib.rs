@@ -10,7 +10,8 @@
 //! This crate turns the repo's sequential core into such a service:
 //!
 //! * [`ConcurrentCache`] — contiguous stripes of sets, each a
-//!   [`SetBank`](seta_cache::SetBank) behind its own mutex, with every
+//!   [`SetBank`](seta_cache::SetBank) behind its own mutex with one
+//!   counter tally per client, with every
 //!   request priced by a [`StrategyKind`](seta_core::StrategyKind) lookup
 //!   (packed-lane SWAR fast path included) behind a `get`/`insert` API.
 //! * [`LoadSpec`] / [`replay`] — a multi-client open-loop load generator:

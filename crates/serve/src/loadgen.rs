@@ -134,6 +134,8 @@ impl LoadOutcome {
 /// monomorphizes away and the request path is byte-for-byte the old one.
 struct Client<'a, O: ContentionObserver> {
     shared: &'a ConcurrentCache,
+    /// This client's tally slot in every stripe of `shared`.
+    slot: usize,
     l1: L1Half,
     requests: u64,
     read_ins: u64,
@@ -159,6 +161,7 @@ impl<'a, O: ContentionObserver> Client<'a, O> {
     ) -> Self {
         Client {
             shared,
+            slot: id as usize - 1,
             l1: L1Half::new(spec.l1),
             requests: 0,
             read_ins: 0,
@@ -188,11 +191,9 @@ impl<'a, O: ContentionObserver> Client<'a, O> {
             0
         };
         let t0 = sampled.then(Instant::now);
-        let resp = if is_write_back {
-            self.shared.write_back_observed(addr, &mut self.obs)
-        } else {
-            self.shared.read_in_observed(addr, &mut self.obs)
-        };
+        let resp = self
+            .shared
+            .request(self.slot, addr, is_write_back, &mut self.obs);
         if let Some(t0) = t0 {
             let total_ns = t0.elapsed().as_nanos() as u64;
             self.latency.record(total_ns);
@@ -454,7 +455,7 @@ fn replay_parts_observed<O: ContentionObserver + Send>(
     };
     let ranges = chunk_ranges(events.len(), chunks);
     let single_chunk = ranges.len() <= 1;
-    let shared = ConcurrentCache::new(spec.l2, spec.strategy, spec.stripes);
+    let shared = ConcurrentCache::with_clients(spec.l2, spec.strategy, spec.stripes, threads);
     let next = AtomicUsize::new(0);
     let clock = SpanClock::new();
     if let Some(handle) = handle {

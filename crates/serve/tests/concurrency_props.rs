@@ -8,7 +8,8 @@
 //!    [`simulate`], probes included, for every kind of lookup strategy.
 //! 2. **Disjoint-key occupancy** — when chunks touch disjoint sets, an
 //!    N-thread replay leaves exactly the per-set occupancy (and resident
-//!    blocks) of a sequential replay.
+//!    blocks) of a sequential replay, and its per-client tallies sum to
+//!    the sequential replay's statistics and probes.
 //! 3. **Conservation** — client-side and cache-side tallies agree at
 //!    every thread count, on arbitrary workloads.
 
@@ -116,7 +117,9 @@ fn one_thread_replay_prices_every_kind_like_simulate() {
 fn disjoint_key_chunks_match_sequential_occupancy() {
     // 64-set shared cache; four chunks, each touching only its own 16
     // sets, read-only (so no cross-chunk write-back traffic exists). The
-    // final contents must then be independent of interleaving.
+    // final contents, and every set's hits, misses and probes, must then
+    // be independent of interleaving, whichever client's tally slot
+    // counted them.
     let l1 = CacheConfig::direct_mapped(512, 16).unwrap();
     let l2 = CacheConfig::new(8 * 1024, 32, 4).unwrap(); // 64 sets
     let num_sets = l2.num_sets();
@@ -140,10 +143,16 @@ fn disjoint_key_chunks_match_sequential_occupancy() {
     let (base, base_cache) = replay_with_cache(&events, 1, &spec);
     assert!(base.conserves());
 
-    for threads in [2usize, 16] {
+    for threads in [1usize, 2, 4, 16] {
         let (out, cache) = replay_with_cache(&events, threads, &spec);
         assert!(out.conserves(), "{threads} threads");
         assert_eq!(out.requests, base.requests, "{threads} threads");
+        assert_eq!(cache.stats(), base_cache.stats(), "{threads} threads");
+        assert_eq!(
+            cache.probe_stats(),
+            base_cache.probe_stats(),
+            "{threads} threads"
+        );
         for set in 0..num_sets {
             assert_eq!(
                 cache.occupancy(set),

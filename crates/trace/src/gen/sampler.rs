@@ -22,6 +22,15 @@ use rand::Rng;
 /// within a relative 1e-9 of a threshold, or beyond the table, it takes
 /// the `powf` after all, so every draw is the closed form's, bit for bit.
 ///
+/// Most draws skip even the comparisons. The sampler splits the `v` that
+/// map to the tabled depths into buckets of `v`'s bit pattern (sign,
+/// exponent and top 7 mantissa bits), and stores a depth for every
+/// bucket whose two ends the comparisons decide alike: every `v` between
+/// them is decided alike too, since the comparisons are monotone in `v`.
+/// A draw reads its bucket and, if it holds a depth, returns it capped at
+/// `max`, as the closed form clamps. So the buckets, built once in
+/// [`new`](Self::new), do not depend on `max`.
+///
 /// # Example
 ///
 /// ```
@@ -33,7 +42,7 @@ use rand::Rng;
 /// let d = sampler.sample(&mut rng, 100);
 /// assert!((1..=100).contains(&d));
 /// ```
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct PowerLawSampler {
     theta: f64,
     /// The `max` whose normaliser is cached; 0 before the first draw that
@@ -44,6 +53,26 @@ pub struct PowerLawSampler {
     /// `σ·d^(1-θ)` for `d = 2, 3, …`, with `σ` the sign of `1-θ`, so the
     /// entries increase with `d` on either side of θ = 1. Unused at θ = 1.
     thresholds: [f64; THRESHOLDS],
+    /// The bucket number ([`bucket_of`]) of `buckets[0]`.
+    first_bucket: u64,
+    /// The depth every `v` of a bucket maps to, or 0 where the threshold
+    /// comparisons do not decide the whole bucket alike. Empty at θ = 1.
+    buckets: Box<[u8]>,
+}
+
+/// Mantissa bits of `v` that, with its sign and exponent, name its bucket.
+const BUCKET_BITS: u32 = 7;
+
+/// Buckets at most: 16 binades of `v`, enough to cover every tabled depth
+/// for θ up to about 4; a steeper sampler keeps the buckets nearest `v = 1`,
+/// which hold the shallowest and most often drawn depths.
+const MAX_BUCKETS: u64 = 16 << BUCKET_BITS;
+
+/// The bucket `v` falls in: its bit pattern's sign, exponent and top
+/// [`BUCKET_BITS`] mantissa bits.
+#[inline]
+fn bucket_of(v: f64) -> u64 {
+    v.to_bits() >> (52 - BUCKET_BITS)
 }
 
 /// Depths `2..=THRESHOLDS + 1` are decided by threshold comparison. At the
@@ -69,12 +98,50 @@ impl PowerLawSampler {
         );
         let one_minus = 1.0 - theta;
         let sign = one_minus.signum();
-        PowerLawSampler {
+        let mut sampler = PowerLawSampler {
             theta,
             cached_max: 0,
             cached_span: 0.0,
             thresholds: std::array::from_fn(|i| sign * ((i + 2) as f64).powf(one_minus)),
+            first_bucket: 0,
+            buckets: Box::default(),
+        };
+        if !sampler.is_logarithmic() {
+            sampler.fill_buckets();
         }
+        sampler
+    }
+
+    /// Whether θ is 1, where the CDF is logarithmic and no table applies.
+    fn is_logarithmic(&self) -> bool {
+        (self.theta - 1.0).abs() < 1e-9
+    }
+
+    /// Builds the bucket table over the `v` between 1 (depth 1) and the
+    /// last threshold, past which the comparisons never decide.
+    fn fill_buckets(&mut self) {
+        let sign = (1.0 - self.theta).signum();
+        let last = sign * self.thresholds[THRESHOLDS - 1];
+        let (one, end) = (bucket_of(1.0), bucket_of(last));
+        let (first, len) = if end >= one {
+            (one, (end - one + 1).min(MAX_BUCKETS))
+        } else {
+            let len = (one - end + 1).min(MAX_BUCKETS);
+            (one + 1 - len, len)
+        };
+        let decide = |v: f64| self.depth_by_thresholds(sign * v, usize::MAX);
+        let buckets = (first..first + len)
+            .map(|b| {
+                let lo = f64::from_bits(b << (52 - BUCKET_BITS));
+                let hi = f64::from_bits(((b + 1) << (52 - BUCKET_BITS)) - 1);
+                match (decide(lo), decide(hi)) {
+                    (Some(a), Some(z)) if a == z => a as u8,
+                    _ => 0,
+                }
+            })
+            .collect();
+        self.first_bucket = first;
+        self.buckets = buckets;
     }
 
     /// The exponent this sampler was built with.
@@ -98,7 +165,7 @@ impl PowerLawSampler {
     fn depth(&mut self, u: f64, max: usize) -> usize {
         let n = max as f64;
         // Inverse CDF of the continuous density f(x) ∝ x^(-theta) on [1, n+1).
-        let x = if (self.theta - 1.0).abs() < 1e-9 {
+        let x = if self.is_logarithmic() {
             // theta == 1: CDF(x) = ln(x) / ln(n+1)
             (n + 1.0).powf(u)
         } else {
@@ -109,6 +176,11 @@ impl PowerLawSampler {
             }
             // CDF(x) = (x^(1-θ) - 1) / ((n+1)^(1-θ) - 1)
             let v = 1.0 + u * self.cached_span;
+            let bucket = bucket_of(v).wrapping_sub(self.first_bucket) as usize;
+            match self.buckets.get(bucket) {
+                Some(&d) if d != 0 => return usize::from(d).min(max),
+                _ => {}
+            }
             if let Some(d) = self.depth_by_thresholds(one_minus.signum() * v, max) {
                 return d;
             }
@@ -321,6 +393,37 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Every bucket that holds a depth holds the closed form's depth,
+    /// `floor(v^(1/(1-θ)))`, for the `v` at both of its ends and at 64
+    /// bit patterns spread between them; and most buckets hold one.
+    #[test]
+    fn filled_buckets_match_closed_form() {
+        let width = 1u64 << (52 - BUCKET_BITS);
+        for theta in [0.5, 1.1, 1.4, 1.95, 2.6] {
+            let one_minus: f64 = 1.0 - theta;
+            let sampler = PowerLawSampler::new(theta);
+            let mut filled = 0;
+            for (i, &d) in sampler.buckets.iter().enumerate() {
+                if d == 0 {
+                    continue;
+                }
+                filled += 1;
+                let lo = (sampler.first_bucket + i as u64) << (52 - BUCKET_BITS);
+                let interior = (1..=64).map(|k| lo + k * (width / 65));
+                for bits in [lo, lo + width - 1].into_iter().chain(interior) {
+                    let v = f64::from_bits(bits);
+                    let want = (v.powf(1.0 / one_minus).floor() as usize).max(1);
+                    assert_eq!(usize::from(d), want, "theta {theta} v {v:e}");
+                }
+            }
+            let len = sampler.buckets.len();
+            assert!(
+                2 * filled > len,
+                "theta {theta}: {filled} of {len} buckets hold a depth"
+            );
         }
     }
 
