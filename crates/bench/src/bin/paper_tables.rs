@@ -43,9 +43,10 @@ use seta_sim::experiments::{
 };
 use seta_sim::explain::{explain, ExplainConfig};
 use seta_sim::metered::{simulate_instrumented, MeterConfig};
+use seta_sim::partition::available_threads;
 use seta_sim::runner::{
-    simulate, simulate_many_served, simulate_many_served_with_threads, simulate_many_traced,
-    simulate_many_traced_with_threads, standard_strategies, RunSpec,
+    simulate, simulate_many_served_with_threads, simulate_many_traced_with_threads,
+    standard_strategies, RunSpec,
 };
 use seta_sim::sweep_report::SweepReport;
 use seta_trace::format::DineroReader;
@@ -503,11 +504,10 @@ fn run_sweep(p: &ExperimentParams, opts: &Options) -> Result<(), String> {
         })
         .collect::<Result<_, String>>()?;
     let server = bind_server(opts, "paper_tables sweep")?;
-    let (outcomes, trace) = match (opts.threads, server.as_ref().map(|s| s.handle())) {
-        (Some(t), Some(h)) => simulate_many_served_with_threads(&specs, t, h),
-        (None, Some(h)) => simulate_many_served(&specs, h),
-        (Some(t), None) => simulate_many_traced_with_threads(&specs, t),
-        (None, None) => simulate_many_traced(&specs),
+    let threads = opts.threads.unwrap_or_else(available_threads);
+    let (outcomes, trace) = match server.as_ref().map(|s| s.handle()) {
+        Some(h) => simulate_many_served_with_threads(&specs, threads, h),
+        None => simulate_many_traced_with_threads(&specs, threads),
     };
     if let Some(path) = &opts.trace_out {
         let mut f = BufWriter::new(File::create(path).map_err(|e| format!("create {path}: {e}"))?);
@@ -632,10 +632,8 @@ fn run_report(p: &ExperimentParams, opts: &Options) -> Result<(), String> {
             })
         })
         .collect::<Result<_, String>>()?;
-    let (outcomes, trace) = match opts.threads {
-        Some(t) => simulate_many_traced_with_threads(&specs, t),
-        None => simulate_many_traced(&specs),
-    };
+    let (outcomes, trace) =
+        simulate_many_traced_with_threads(&specs, opts.threads.unwrap_or_else(available_threads));
     let sweep = SweepReport::from_trace(&trace);
 
     // Small contended replays of the same synthetic workload for the

@@ -22,7 +22,8 @@
 //! anything else is the text format.
 //! ```
 
-use seta_cache::{CacheConfig, MattsonAnalyzer};
+use seta_cache::hierarchy::HierarchyError;
+use seta_cache::{CacheConfig, CacheConfigError, MattsonAnalyzer};
 use seta_obs::{labeled, MetricsRegistry, Progress, RunManifest};
 use seta_sim::explain::{explain, ExplainConfig};
 use seta_sim::metered::{simulate_instrumented, MeterConfig};
@@ -384,45 +385,134 @@ fn mattson(mut args: impl Iterator<Item = String>) -> Result<(), String> {
     Ok(())
 }
 
+/// The hierarchy flags `explain` and `sim` share, as given on the command
+/// line. [`build`](Self::build) is the one place they are checked.
+#[derive(Debug, Clone, Copy)]
+struct Geometry {
+    assoc: u64,
+    tag_bits: u64,
+    l1_size: u64,
+    l1_block: u64,
+    l2_size: u64,
+    l2_block: u64,
+}
+
+/// Why a set of geometry flags cannot build a hierarchy.
+#[derive(Debug)]
+enum GeometryError {
+    /// A flag's value is missing, not a number, or out of its range.
+    Flag { flag: &'static str, message: String },
+    /// One level's size and block size do not make a cache.
+    Cache {
+        level: &'static str,
+        error: CacheConfigError,
+    },
+    /// The L1 block does not fit in one L2 block.
+    Hierarchy(HierarchyError),
+}
+
+impl std::fmt::Display for GeometryError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            GeometryError::Flag { flag, message } => write!(f, "{flag} {message}"),
+            GeometryError::Cache { level, error } => write!(f, "bad {level} cache: {error}"),
+            GeometryError::Hierarchy(e) => e.fmt(f),
+        }
+    }
+}
+
+impl From<GeometryError> for String {
+    fn from(e: GeometryError) -> String {
+        e.to_string()
+    }
+}
+
+impl Geometry {
+    const DEFAULT: Geometry = Geometry {
+        assoc: 4,
+        tag_bits: 16,
+        l1_size: 4 * 1024,
+        l1_block: 16,
+        l2_size: 16 * 1024,
+        l2_block: 32,
+    };
+
+    /// Consumes a geometry flag and its value if `arg` is one; returns
+    /// whether the argument was handled.
+    fn consume(
+        &mut self,
+        arg: &str,
+        args: &mut impl Iterator<Item = String>,
+    ) -> Result<bool, GeometryError> {
+        let (flag, slot) = match arg {
+            "--assoc" => ("--assoc", &mut self.assoc),
+            "--tag-bits" => ("--tag-bits", &mut self.tag_bits),
+            "--l1-size" => ("--l1-size", &mut self.l1_size),
+            "--l1-block" => ("--l1-block", &mut self.l1_block),
+            "--l2-size" => ("--l2-size", &mut self.l2_size),
+            "--l2-block" => ("--l2-block", &mut self.l2_block),
+            _ => return Ok(false),
+        };
+        let bad = |message| GeometryError::Flag { flag, message };
+        let v = args.next().ok_or_else(|| bad("needs a value".into()))?;
+        *slot = v.parse().map_err(|e| bad(format!("value {v:?}: {e}")))?;
+        Ok(true)
+    }
+
+    /// Checks every flag and builds the two caches; returns them with the
+    /// stored-tag width.
+    fn build(&self) -> Result<(CacheConfig, CacheConfig, u32), GeometryError> {
+        let bad = |flag, message: String| Err(GeometryError::Flag { flag, message });
+        if !self.assoc.is_power_of_two() {
+            return bad("--assoc", "must be a power of two".into());
+        }
+        if self.assoc > seta_core::MAX_ASSOC as u64 {
+            return bad(
+                "--assoc",
+                format!("must be at most {}", seta_core::MAX_ASSOC),
+            );
+        }
+        if !(1..=64).contains(&self.tag_bits) {
+            return bad("--tag-bits", "must be in 1..=64".into());
+        }
+        let l1 = CacheConfig::direct_mapped(self.l1_size, self.l1_block)
+            .map_err(|error| GeometryError::Cache { level: "L1", error })?;
+        let l2 = CacheConfig::new(self.l2_size, self.l2_block, self.assoc as u32)
+            .map_err(|error| GeometryError::Cache { level: "L2", error })?;
+        if l1.block_size() > l2.block_size() {
+            return Err(GeometryError::Hierarchy(
+                HierarchyError::BlockSizeMismatch {
+                    l1: l1.block_size(),
+                    l2: l2.block_size(),
+                },
+            ));
+        }
+        Ok((l1, l2, self.tag_bits as u32))
+    }
+}
+
 /// Replays a trace file through a two-level hierarchy with probe-level
 /// event tracing, printing the attribution report; `--metrics` writes the
 /// typed JSONL report.
 fn explain_cmd(mut args: impl Iterator<Item = String>) -> Result<(), String> {
     let input = args.next().ok_or_else(usage)?;
-    let mut assoc = 4u32;
-    let mut tag_bits = 16u32;
-    let mut l1_size = 4 * 1024u64;
-    let mut l1_block = 16u64;
-    let mut l2_size = 16 * 1024u64;
-    let mut l2_block = 32u64;
+    let mut geometry = Geometry::DEFAULT;
     let mut sample_every = 100u64;
     let mut obs = Obs::default();
     while let Some(a) = args.next() {
-        if obs.consume(&a, &mut args)? {
+        if obs.consume(&a, &mut args)? || geometry.consume(&a, &mut args)? {
             continue;
         }
         match a.as_str() {
-            "--assoc" => assoc = parse_u64(&mut args, "--assoc")? as u32,
-            "--tag-bits" => tag_bits = parse_u64(&mut args, "--tag-bits")? as u32,
-            "--l1-size" => l1_size = parse_u64(&mut args, "--l1-size")?,
-            "--l1-block" => l1_block = parse_u64(&mut args, "--l1-block")?,
-            "--l2-size" => l2_size = parse_u64(&mut args, "--l2-size")?,
-            "--l2-block" => l2_block = parse_u64(&mut args, "--l2-block")?,
             "--sample-every" => sample_every = parse_u64(&mut args, "--sample-every")?,
             other => return Err(format!("unknown argument {other:?}\n{}", usage())),
         }
     }
-    if !assoc.is_power_of_two() {
-        return Err("--assoc must be a power of two".into());
-    }
-    if assoc as usize > seta_core::MAX_ASSOC {
-        return Err(format!("--assoc must be at most {}", seta_core::MAX_ASSOC));
-    }
+    let (l1, l2, tag_bits) = geometry.build()?;
+    let assoc = l2.associativity();
     if sample_every == 0 {
         return Err("--sample-every must be positive".into());
     }
-    let l1 = CacheConfig::direct_mapped(l1_size, l1_block).map_err(|e| e.to_string())?;
-    let l2 = CacheConfig::new(l2_size, l2_block, assoc).map_err(|e| e.to_string())?;
     let mut manifest = manifest_for("explain");
     manifest.label("l1", l1.label());
     manifest.label("l2", l2.label());
@@ -457,12 +547,7 @@ fn explain_cmd(mut args: impl Iterator<Item = String>) -> Result<(), String> {
 /// run's span trace as Perfetto JSON (`--trace-out`).
 fn sim_cmd(mut args: impl Iterator<Item = String>) -> Result<(), String> {
     let input = args.next().ok_or_else(usage)?;
-    let mut assoc = 4u32;
-    let mut tag_bits = 16u32;
-    let mut l1_size = 4 * 1024u64;
-    let mut l1_block = 16u64;
-    let mut l2_size = 16 * 1024u64;
-    let mut l2_block = 32u64;
+    let mut geometry = Geometry::DEFAULT;
     let mut window = seta_obs::DEFAULT_WINDOW_REFS;
     let mut windows_out: Option<String> = None;
     let mut trace_out: Option<String> = None;
@@ -471,16 +556,10 @@ fn sim_cmd(mut args: impl Iterator<Item = String>) -> Result<(), String> {
     let mut serve_linger = 0u64;
     let mut obs = Obs::default();
     while let Some(a) = args.next() {
-        if obs.consume(&a, &mut args)? {
+        if obs.consume(&a, &mut args)? || geometry.consume(&a, &mut args)? {
             continue;
         }
         match a.as_str() {
-            "--assoc" => assoc = parse_u64(&mut args, "--assoc")? as u32,
-            "--tag-bits" => tag_bits = parse_u64(&mut args, "--tag-bits")? as u32,
-            "--l1-size" => l1_size = parse_u64(&mut args, "--l1-size")?,
-            "--l1-block" => l1_block = parse_u64(&mut args, "--l1-block")?,
-            "--l2-size" => l2_size = parse_u64(&mut args, "--l2-size")?,
-            "--l2-block" => l2_block = parse_u64(&mut args, "--l2-block")?,
             "--window" => {
                 window = parse_u64(&mut args, "--window")?;
                 if window == 0 {
@@ -505,14 +584,11 @@ fn sim_cmd(mut args: impl Iterator<Item = String>) -> Result<(), String> {
             other => return Err(format!("unknown argument {other:?}\n{}", usage())),
         }
     }
-    if !assoc.is_power_of_two() {
-        return Err("--assoc must be a power of two".into());
-    }
+    let (l1, l2, tag_bits) = geometry.build()?;
+    let assoc = l2.associativity();
     if serve_addr.is_none() && serve_linger > 0 {
         return Err("--serve-linger needs --serve".into());
     }
-    let l1 = CacheConfig::direct_mapped(l1_size, l1_block).map_err(|e| e.to_string())?;
-    let l2 = CacheConfig::new(l2_size, l2_block, assoc).map_err(|e| e.to_string())?;
     let events = read_events(Path::new(&input))?;
     let strategies = standard_strategies(assoc, tag_bits);
     let server = match &serve_addr {

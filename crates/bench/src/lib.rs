@@ -4,49 +4,17 @@
 //!
 //! * the `paper_tables` binary, which regenerates any table or figure of
 //!   the paper (`cargo run --release -p seta-bench --bin paper_tables -- all`);
+//! * the `trace_tool` binary, which generates, converts, summarizes and
+//!   replays trace files;
 //! * the `bench_guard` binary, the continuous-benchmarking regression gate
 //!   (see [`guard`]): deterministic median-of-k measurements written as
 //!   `BENCH_<n>.json`, checked against the committed baseline in CI;
 //! * the cross-run history loader and trajectory report (see [`history`]):
 //!   every committed `BENCH_<n>.json` rendered as a self-contained HTML
-//!   page with regression markers;
-//! * Criterion benches (`benches/tables.rs`, `benches/figures.rs`) that
-//!   time each experiment end-to-end on a scaled trace;
-//! * micro-benchmarks (`benches/micro.rs`) for the lookup strategies, tag
-//!   transforms, trace generator, and cache hierarchy throughput, and
-//!   hot-path benches (`benches/hotpath.rs`) for everything `bench_guard`
-//!   gates.
-//!
-//! The library portion exposes the guard machinery and small helpers
-//! shared by the benches.
+//!   page with regression markers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod guard;
 pub mod history;
-
-use seta_sim::experiments::ExperimentParams;
-
-/// The trace scale benches run at (the full 8M-reference trace would make
-/// `cargo bench` take minutes per experiment; 1/40 keeps each iteration in
-/// the tens of milliseconds while preserving the multiprogrammed
-/// structure).
-pub const BENCH_SCALE: u64 = 40;
-
-/// Bench parameters: the paper's structure at [`BENCH_SCALE`].
-pub fn bench_params() -> ExperimentParams {
-    ExperimentParams::scaled(BENCH_SCALE)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bench_params_are_scaled_down() {
-        assert!(
-            bench_params().trace.total_refs() < ExperimentParams::paper().trace.total_refs() / 10
-        );
-    }
-}

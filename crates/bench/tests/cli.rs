@@ -352,3 +352,43 @@ fn trace_tool_sim_prints_phase_table_and_writes_window_rows() {
     let _ = std::fs::remove_file(&windows);
     let _ = std::fs::remove_file(&perfetto);
 }
+
+/// Every hostile geometry value `sim` and `explain` used to panic on, or
+/// silently truncate, is a clean rejection: exit 1 with a message naming
+/// the flag, and no panic.
+#[test]
+fn hostile_geometry_flags_exit_1_without_panicking() {
+    let both = ["sim", "explain"];
+    let cases: [(&[&str], &[&str], &str); 6] = [
+        (&["sim"], &["--assoc", "64"], "--assoc must be at most 32"),
+        (&both, &["--tag-bits", "0"], "--tag-bits must be in 1..=64"),
+        (&both, &["--tag-bits", "65"], "--tag-bits must be in 1..=64"),
+        (
+            &both,
+            &["--tag-bits", "200"],
+            "--tag-bits must be in 1..=64",
+        ),
+        (
+            &both,
+            &["--l1-block", "128"],
+            "L1 block size 128 exceeds L2 block size 32",
+        ),
+        // 2^32 + 4, which an `as u32` cast would read as 4.
+        (
+            &["explain"],
+            &["--assoc", "4294967300"],
+            "--assoc must be a power of two",
+        ),
+    ];
+    for (commands, flags, message) in cases {
+        for command in commands {
+            let mut args = vec![*command, tiny_trace()];
+            args.extend_from_slice(flags);
+            let out = trace_tool(&args);
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+            assert!(!err.contains("panicked"), "{args:?}: {err}");
+            assert!(err.contains(message), "{args:?}: {err}");
+        }
+    }
+}

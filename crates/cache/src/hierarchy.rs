@@ -107,42 +107,6 @@ pub trait L2Observer {
     fn on_l2_request(&mut self, req: &L2RequestView<'_>);
 }
 
-/// Lightweight event hook for metrics collection, separate from
-/// [`L2Observer`]: observers get the full pre-access set state for probe
-/// pricing, while a sink only sees cheap post-access outcomes — enough
-/// for counters and rate heartbeats without borrowing set internals.
-///
-/// All methods default to no-ops and the unit sink `()` implements the
-/// trait, so `step(...)` is exactly `step_metered(..., &mut ())`;
-/// monomorphization keeps the un-metered path free of any sink cost.
-pub trait MetricsSink {
-    /// Called once per processor reference, with its L1 outcome.
-    fn on_ref(&mut self, _l1_hit: bool) {}
-
-    /// Called once per L2 request, with its kind and outcome.
-    fn on_l2(&mut self, _kind: L2RequestKind, _hit: bool) {}
-
-    /// Called once per L2 request with set-level detail: the target set
-    /// index, the request kind and outcome, and — for hits — the block's
-    /// pre-access recency position. This is what per-set heatmaps and
-    /// MRU-position histograms consume without needing a full
-    /// [`L2Observer`] borrow of the set's frames.
-    fn on_l2_set(
-        &mut self,
-        _set: u64,
-        _kind: L2RequestKind,
-        _hit: bool,
-        _mru_distance: Option<usize>,
-    ) {
-    }
-
-    /// Called once per flush (segment boundary).
-    fn on_flush(&mut self) {}
-}
-
-/// The do-nothing sink, for un-metered runs.
-impl MetricsSink for () {}
-
 /// The do-nothing observer, for runs that only need miss ratios.
 impl L2Observer for () {
     fn on_l2_request(&mut self, _req: &L2RequestView<'_>) {}
@@ -319,16 +283,17 @@ impl L1Half {
         self.processor_refs
     }
 
-    /// Services one processor reference: counts it, accesses the L1 and
-    /// reports the outcome to `sink`. Returns the miss the L2 must serve,
-    /// or `None` on an L1 hit.
-    pub fn access<M: MetricsSink>(&mut self, record: &TraceRecord, sink: &mut M) -> Option<L1Miss> {
+    /// Services one processor reference: counts it and accesses the L1.
+    /// Returns the miss the L2 must serve, or `None` on an L1 hit.
+    // The drivers in other crates call this once per reference; without a
+    // type parameter it is only inlined there when marked so.
+    #[inline]
+    pub fn access(&mut self, record: &TraceRecord) -> Option<L1Miss> {
         self.processor_refs += 1;
         let set = self.cache.mapper().set_of(record.addr);
         let tag = self.cache.mapper().tag_of(record.addr);
         let found = self.cache.locate(set, tag);
         let r = self.cache.apply(set, tag, record.kind.is_write(), found);
-        sink.on_ref(r.hit);
         if r.hit {
             return None;
         }
@@ -413,12 +378,7 @@ impl L2Half {
     /// read-in, records where the block landed as the frame's new hint,
     /// then issues the dirty victim's write-back checked against the old
     /// hint. `observer` sees every request before it mutates the L2.
-    pub fn serve<O: L2Observer, M: MetricsSink>(
-        &mut self,
-        miss: &L1Miss,
-        observer: &mut O,
-        sink: &mut M,
-    ) {
+    pub fn serve<O: L2Observer>(&mut self, miss: &L1Miss, observer: &mut O) {
         // Remember the victim's hint before overwriting the frame's hint
         // with the incoming block's L2 position.
         let victim_hint = self.hints[miss.frame];
@@ -428,7 +388,7 @@ impl L2Half {
                 L2RequestKind::ReadIn => None,
                 L2RequestKind::WriteBack => victim_hint,
             };
-            let way = self.issue(kind, addr, hint, observer, sink);
+            let way = self.issue(kind, addr, hint, observer);
             if kind == L2RequestKind::ReadIn {
                 self.hints[miss.frame] = Some(way);
             }
@@ -439,13 +399,12 @@ impl L2Half {
     /// pre-access set with that result, then applies the access from the
     /// same result without searching the set again. Returns the way the
     /// block occupies afterwards.
-    fn issue<O: L2Observer, M: MetricsSink>(
+    fn issue<O: L2Observer>(
         &mut self,
         kind: L2RequestKind,
         addr: u64,
         hint: Option<u8>,
         observer: &mut O,
-        sink: &mut M,
     ) -> u8 {
         let set = self.cache.mapper().set_of(addr);
         let tag = self.cache.mapper().tag_of(addr);
@@ -473,8 +432,6 @@ impl L2Half {
 
         let is_write = kind == L2RequestKind::WriteBack;
         let result = self.cache.apply(set, tag, is_write, found);
-        sink.on_l2(kind, result.hit);
-        sink.on_l2_set(set, kind, result.hit, mru_distance);
         let hit = u64::from(result.hit);
         match kind {
             L2RequestKind::ReadIn => {
@@ -616,24 +573,13 @@ impl TwoLevel {
     }
 
     /// Services one processor reference, notifying `observer` of every L2
-    /// request it generates.
+    /// request it generates: the L1 half's access, then, on a miss, the L2
+    /// half's service of it.
     pub fn step<O: L2Observer>(&mut self, record: &TraceRecord, observer: &mut O) {
-        self.step_metered(record, observer, &mut ());
-    }
-
-    /// [`step`](Self::step) with a [`MetricsSink`] receiving the L1 and
-    /// L2 outcomes: the L1 half's access, then, on a miss, the L2 half's
-    /// service of it.
-    pub fn step_metered<O: L2Observer, M: MetricsSink>(
-        &mut self,
-        record: &TraceRecord,
-        observer: &mut O,
-        sink: &mut M,
-    ) {
-        let miss = self.l1.access(record, sink);
+        let miss = self.l1.access(record);
         self.l2.stats.processor_refs = self.l1.processor_refs;
         if let Some(miss) = miss {
-            self.l2.serve(&miss, observer, sink);
+            self.l2.serve(&miss, observer);
         }
     }
 
@@ -646,22 +592,9 @@ impl TwoLevel {
 
     /// Processes one trace event.
     pub fn process<O: L2Observer>(&mut self, event: &TraceEvent, observer: &mut O) {
-        self.process_metered(event, observer, &mut ());
-    }
-
-    /// [`process`](Self::process) with a [`MetricsSink`].
-    pub fn process_metered<O: L2Observer, M: MetricsSink>(
-        &mut self,
-        event: &TraceEvent,
-        observer: &mut O,
-        sink: &mut M,
-    ) {
         match event {
-            TraceEvent::Ref(r) => self.step_metered(r, observer, sink),
-            TraceEvent::Flush => {
-                self.flush();
-                sink.on_flush();
-            }
+            TraceEvent::Ref(r) => self.step(r, observer),
+            TraceEvent::Flush => self.flush(),
         }
     }
 
@@ -671,19 +604,8 @@ impl TwoLevel {
         I: IntoIterator<Item = TraceEvent>,
         O: L2Observer,
     {
-        self.run_metered(events, observer, &mut ());
-    }
-
-    /// [`run`](Self::run) with a [`MetricsSink`] receiving per-reference,
-    /// per-request and per-flush events alongside the observer.
-    pub fn run_metered<I, O, M>(&mut self, events: I, observer: &mut O, sink: &mut M)
-    where
-        I: IntoIterator<Item = TraceEvent>,
-        O: L2Observer,
-        M: MetricsSink,
-    {
         for e in events {
-            self.process_metered(&e, observer, sink);
+            self.process(&e, observer);
         }
     }
 
@@ -943,114 +865,6 @@ mod tests {
         assert_eq!(s.local_miss_ratio(), 0.0);
         assert_eq!(s.write_back_fraction(), 0.0);
         assert_eq!(s.hint_accuracy(), 0.0);
-    }
-
-    /// Counts sink callbacks for comparison against the stats block.
-    #[derive(Default)]
-    struct CountingSink {
-        refs: u64,
-        l1_hits: u64,
-        read_ins: u64,
-        read_in_hits: u64,
-        write_backs: u64,
-        flushes: u64,
-    }
-
-    impl MetricsSink for CountingSink {
-        fn on_ref(&mut self, l1_hit: bool) {
-            self.refs += 1;
-            if l1_hit {
-                self.l1_hits += 1;
-            }
-        }
-
-        fn on_l2(&mut self, kind: L2RequestKind, hit: bool) {
-            match kind {
-                L2RequestKind::ReadIn => {
-                    self.read_ins += 1;
-                    if hit {
-                        self.read_in_hits += 1;
-                    }
-                }
-                L2RequestKind::WriteBack => self.write_backs += 1,
-            }
-        }
-
-        fn on_flush(&mut self) {
-            self.flushes += 1;
-        }
-    }
-
-    #[test]
-    fn metrics_sink_agrees_with_stats() {
-        let mut h = hierarchy();
-        let mut sink = CountingSink::default();
-        let events = vec![
-            TraceEvent::Ref(TraceRecord::write(0x000)),
-            TraceEvent::Ref(TraceRecord::read(0x100)), // evicts dirty 0x000
-            TraceEvent::Ref(TraceRecord::read(0x100)), // L1 hit
-            TraceEvent::Flush,
-            TraceEvent::Ref(TraceRecord::read(0x000)),
-        ];
-        h.run_metered(events, &mut (), &mut sink);
-        let s = h.stats();
-        assert_eq!(sink.refs, s.processor_refs);
-        assert_eq!(sink.refs - sink.l1_hits, s.read_ins);
-        assert_eq!(sink.read_ins, s.read_ins);
-        assert_eq!(sink.read_in_hits, s.read_in_hits);
-        assert_eq!(sink.write_backs, s.write_backs);
-        assert_eq!(sink.flushes, s.flushes);
-        assert_eq!(sink.l1_hits, 1);
-    }
-
-    /// Records the set-level sink callbacks for comparison with the
-    /// observer's pre-access view.
-    #[derive(Default)]
-    struct SetSink {
-        seen: Vec<(u64, L2RequestKind, bool, Option<usize>)>,
-    }
-
-    impl MetricsSink for SetSink {
-        fn on_l2_set(
-            &mut self,
-            set: u64,
-            kind: L2RequestKind,
-            hit: bool,
-            mru_distance: Option<usize>,
-        ) {
-            self.seen.push((set, kind, hit, mru_distance));
-        }
-    }
-
-    #[test]
-    fn set_sink_mirrors_observer_views() {
-        let mut h = hierarchy();
-        let mut sink = SetSink::default();
-        let mut views: Vec<(u64, L2RequestKind, bool, Option<usize>)> = Vec::new();
-        let mut obs = |req: &L2RequestView<'_>| {
-            views.push((req.set, req.kind, req.hit, req.mru_distance));
-        };
-        for i in 0..48u64 {
-            h.step_metered(&TraceRecord::write(i * 48), &mut obs, &mut sink);
-        }
-        assert_eq!(sink.seen.len() as u64, h.stats().l2_requests());
-        assert_eq!(sink.seen, views, "sink detail matches observer detail");
-        assert!(
-            sink.seen.iter().any(|(_, _, hit, _)| *hit),
-            "workload produced at least one L2 hit"
-        );
-    }
-
-    #[test]
-    fn unmetered_paths_match_metered_with_unit_sink() {
-        let events: Vec<TraceEvent> = (0..64u64)
-            .map(|i| TraceEvent::Ref(TraceRecord::write(i * 48)))
-            .collect();
-        let mut a = hierarchy();
-        a.run(events.clone(), &mut ());
-        let mut b = hierarchy();
-        b.run_metered(events, &mut (), &mut ());
-        assert_eq!(a.stats(), b.stats());
     }
 
     #[test]

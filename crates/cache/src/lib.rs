@@ -56,8 +56,7 @@ pub use cache::{AccessResult, Cache, EvictedBlock};
 pub use config::{CacheConfig, CacheConfigError};
 pub use hash_rehash::{HashRehashCache, HrAccess};
 pub use hierarchy::{
-    L1Half, L1Miss, L2Half, L2Observer, L2RequestKind, L2RequestView, MetricsSink, TwoLevel,
-    TwoLevelStats,
+    L1Half, L1Miss, L2Half, L2Observer, L2RequestKind, L2RequestView, TwoLevel, TwoLevelStats,
 };
 pub use mattson::MattsonAnalyzer;
 pub use multilevel::{LevelTraffic, MultiLevel, MultiLevelObserver};

@@ -7,9 +7,8 @@
 //! aggregate probe count in [`Lookup`](crate::lookup::Lookup) says *how
 //! much* a search cost; the observer events say *why*.
 //!
-//! The trait mirrors the `MetricsSink` pattern of `seta-cache`: every
-//! method defaults to a no-op and the unit type `()` implements the trait,
-//! so the un-instrumented path — `LookupStrategy::lookup`, which drives
+//! Every method defaults to a no-op and the unit type `()` implements the
+//! trait, so the un-instrumented path — `LookupStrategy::lookup`, which drives
 //! the same search code with `&mut ()` — monomorphizes the hooks away
 //! entirely. Instrumented callers go through
 //! [`LookupStrategy::lookup_observed`](crate::lookup::LookupStrategy::lookup_observed),

@@ -37,7 +37,7 @@ use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -77,6 +77,24 @@ pub struct ServeHeartbeat {
     pub active_workers: Option<u64>,
 }
 
+impl ServeHeartbeat {
+    /// The heartbeat after `refs` references in `wall_seconds`, with the
+    /// rate derived from the two (0 before any time has passed) and no
+    /// window or worker detail.
+    pub fn at(refs: u64, wall_seconds: f64) -> Self {
+        ServeHeartbeat {
+            refs,
+            wall_seconds,
+            refs_per_second: if wall_seconds > 0.0 {
+                refs as f64 / wall_seconds
+            } else {
+                0.0
+            },
+            ..ServeHeartbeat::default()
+        }
+    }
+}
+
 /// Shared state between the publishing side (the simulation) and the
 /// serving side (the connection handlers).
 struct ServeState {
@@ -107,6 +125,19 @@ impl ServeState {
     }
 }
 
+/// Locks one of the server's mutexes. Every lock in this module and in
+/// its [`BroadcastRing`] goes through here, under one poisoning policy:
+/// **a poisoned lock is recovered, not propagated.** Each guarded value is
+/// a published snapshot, the event ring or the connection queue, and no
+/// writer leaves it invalid between two steps, so whatever a panicking
+/// holder left behind (at worst a half-applied update) is still safe to
+/// read and overwrite. Propagating the poison instead would let one failed
+/// connection handler panic the simulation on its next publish —
+/// monitoring must never take down the run it observes.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// The publishing side of a [`Server`]: cheap to clone, safe to hand to
 /// the simulation thread. Every method takes a snapshot under a short
 /// lock; none of them can block on clients.
@@ -126,36 +157,36 @@ impl std::fmt::Debug for ServeHandle {
 impl ServeHandle {
     /// Sets the dashboard's `<h1>`/`<title>` text.
     pub fn set_title(&self, title: &str) {
-        *self.state.title.lock().expect("serve lock") = title.to_owned();
+        *lock(&self.state.title) = title.to_owned();
     }
 
     /// Replaces the served registry snapshot (what `/metrics` renders).
     pub fn publish_registry(&self, registry: &MetricsRegistry) {
-        *self.state.registry.lock().expect("serve lock") = registry.clone();
+        *lock(&self.state.registry) = registry.clone();
     }
 
     /// Mutates the served registry in place — for publishers like the
     /// sweep runner that own no registry of their own.
     pub fn update_metrics(&self, f: impl FnOnce(&mut MetricsRegistry)) {
-        f(&mut self.state.registry.lock().expect("serve lock"));
+        f(&mut lock(&self.state.registry));
     }
 
     /// Replaces the served manifest (`/manifest.json`).
     pub fn publish_manifest(&self, manifest: &RunManifest) {
-        *self.state.manifest.lock().expect("serve lock") = Some(manifest.clone());
+        *lock(&self.state.manifest) = Some(manifest.clone());
     }
 
     /// Publishes one closed window row: retained for the dashboard table
     /// and broadcast to `/events` subscribers as a `window` event.
     pub fn publish_window(&self, row: &WindowRecord) {
         {
-            let mut recent = self.state.recent.lock().expect("serve lock");
+            let mut recent = lock(&self.state.recent);
             if recent.len() == RECENT_WINDOWS {
                 recent.pop_front();
             }
             recent.push_back(row.clone());
         }
-        *self.state.windows_published.lock().expect("serve lock") += 1;
+        *lock(&self.state.windows_published) += 1;
         let data = serde_json::to_string(row).expect("window rows serialize");
         self.state.ring.publish("window", data);
     }
@@ -163,7 +194,7 @@ impl ServeHandle {
     /// Publishes a progress heartbeat: stored for `/health` and the
     /// dashboard strip, and broadcast as a `heartbeat` event.
     pub fn publish_heartbeat(&self, hb: &ServeHeartbeat) {
-        *self.state.heartbeat.lock().expect("serve lock") = hb.clone();
+        *lock(&self.state.heartbeat) = hb.clone();
         let data = serde_json::to_string(hb).expect("heartbeats serialize");
         self.state.ring.publish("heartbeat", data);
     }
@@ -209,7 +240,7 @@ impl ServeHandle {
     /// served until the server shuts down.
     pub fn finish_run(&self) {
         self.state.done.store(true, Ordering::SeqCst);
-        let hb = self.state.heartbeat.lock().expect("serve lock").clone();
+        let hb = lock(&self.state.heartbeat).clone();
         let data = serde_json::to_string(&hb).expect("heartbeats serialize");
         self.state.ring.publish("end", data);
         self.state.ring.close();
@@ -222,7 +253,7 @@ impl ServeHandle {
 
     /// Total window rows published so far.
     pub fn windows_published(&self) -> u64 {
-        *self.state.windows_published.lock().expect("serve lock")
+        *lock(&self.state.windows_published)
     }
 }
 
@@ -322,7 +353,7 @@ fn accept_loop(listener: &TcpListener, tx: &Sender<TcpStream>, state: &Arc<Serve
 
 fn worker_loop(rx: &Arc<Mutex<Receiver<TcpStream>>>, state: &Arc<ServeState>) {
     loop {
-        let stream = match rx.lock().expect("pool lock").recv() {
+        let stream = match lock(rx).recv() {
             Ok(s) => s,
             Err(_) => break, // accept loop gone
         };
@@ -358,7 +389,7 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<ServeState>) {
     }
     let response = match request.path.as_str() {
         "/metrics" => {
-            let text = prometheus_text(&state.registry.lock().expect("serve lock"));
+            let text = prometheus_text(&lock(&state.registry));
             http::response(
                 200,
                 "text/plain; version=0.0.4; charset=utf-8",
@@ -372,7 +403,7 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<ServeState>) {
             &[],
             health_json(state).as_bytes(),
         ),
-        "/manifest.json" => match state.manifest.lock().expect("serve lock").as_ref() {
+        "/manifest.json" => match lock(&state.manifest).as_ref() {
             Some(m) => http::response(
                 200,
                 "application/json; charset=utf-8",
@@ -397,13 +428,13 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<ServeState>) {
 }
 
 fn health_json(state: &ServeState) -> String {
-    let hb = state.heartbeat.lock().expect("serve lock").clone();
+    let hb = lock(&state.heartbeat).clone();
     let status = if state.done.load(Ordering::SeqCst) {
         "done"
     } else {
         "running"
     };
-    let windows = *state.windows_published.lock().expect("serve lock");
+    let windows = *lock(&state.windows_published);
     serde_json::to_string(&serde_json::json!({
         "status": status,
         "refs": hb.refs,
@@ -457,8 +488,8 @@ fn serve_events(stream: &mut TcpStream, state: &Arc<ServeState>) {
 /// in live-page mode (see
 /// [`validate_live_page`](crate::report::validate_live_page)).
 fn live_page(state: &ServeState) -> String {
-    let title = state.title.lock().expect("serve lock").clone();
-    let hb = state.heartbeat.lock().expect("serve lock").clone();
+    let title = lock(&state.title).clone();
+    let hb = lock(&state.heartbeat).clone();
     let done = state.done.load(Ordering::SeqCst);
 
     let mut page = HtmlPage::new(&title);
@@ -491,11 +522,7 @@ fn live_page(state: &ServeState) -> String {
         ),
         (
             "windows published",
-            state
-                .windows_published
-                .lock()
-                .expect("serve lock")
-                .to_string(),
+            lock(&state.windows_published).to_string(),
         ),
     ]);
     status.push_html(
@@ -506,7 +533,7 @@ fn live_page(state: &ServeState) -> String {
     );
     page.push(status);
 
-    let recent = state.recent.lock().expect("serve lock");
+    let recent = lock(&state.recent);
     let mut windows = Section::new("windows", "Recent windows");
     if recent.is_empty() {
         windows.note("no windows closed yet");
@@ -537,7 +564,7 @@ fn live_page(state: &ServeState) -> String {
     drop(recent);
     page.push(windows);
 
-    let registry = state.registry.lock().expect("serve lock");
+    let registry = lock(&state.registry);
     let mut metrics = Section::new("metrics", "Registry snapshot");
     let mut counters = HtmlTable::new(&["counter", "value"]);
     for (name, v) in registry.counters() {
@@ -561,7 +588,7 @@ fn live_page(state: &ServeState) -> String {
     metrics.note("snapshots publish at the run's snapshot boundaries; the final snapshot equals the written artifact");
     page.push(metrics);
 
-    if let Some(m) = state.manifest.lock().expect("serve lock").as_ref() {
+    if let Some(m) = lock(&state.manifest).as_ref() {
         let mut manifest = Section::new("manifest", "Manifest");
         let rows: Vec<(&str, String)> = m
             .labels
@@ -654,6 +681,46 @@ mod tests {
 
         let (code, _, _) = get(addr, "/nope");
         assert_eq!(code, 404);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_poisoned_lock_is_recovered_and_keeps_serving() {
+        let server = Server::bind("127.0.0.1:0").unwrap();
+        let handle = server.handle();
+        handle.publish_registry(&sample_registry());
+        // A holder that panics mid-update poisons the registry lock after
+        // applying half its change.
+        let poisoner = handle.clone();
+        let joined = std::thread::spawn(move || {
+            poisoner.update_metrics(|m| {
+                let c = m.counter("refs_total");
+                m.inc(c, 1);
+                panic!("holder fails mid-update");
+            });
+        })
+        .join();
+        assert!(joined.is_err(), "the holder panicked");
+        assert!(handle.state.registry.is_poisoned());
+
+        // The publisher keeps going, and scrapes see what it publishes,
+        // including the half-applied update.
+        handle.update_metrics(|m| {
+            let c = m.counter("refs_total");
+            m.inc(c, 10);
+        });
+        handle.publish_heartbeat(&ServeHeartbeat {
+            refs: 53,
+            ..ServeHeartbeat::default()
+        });
+        let (code, _, body) = get(server.local_addr(), "/metrics");
+        assert_eq!(code, 200);
+        assert!(body.contains("refs_total 53"), "{body}");
+        let (code, _, body) = get(server.local_addr(), "/health");
+        assert_eq!(code, 200);
+        assert!(body.contains("\"refs\":53"), "{body}");
+        handle.finish_run();
+        assert!(handle.is_done());
         server.shutdown();
     }
 

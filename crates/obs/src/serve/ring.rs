@@ -7,8 +7,9 @@
 //! cursor and learn how many events they missed, which the SSE handler
 //! surfaces as a comment line rather than silently skipping.
 
+use super::lock;
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 /// One published event: a monotone sequence number and the payload the
@@ -71,7 +72,7 @@ impl BroadcastRing {
     /// returns its sequence number. Never blocks on readers. Publishing
     /// to a closed ring is a no-op (the event is dropped).
     pub fn publish(&self, name: &str, data: String) -> u64 {
-        let mut st = self.state.lock().expect("ring lock");
+        let mut st = lock(&self.state);
         let seq = st.next_seq;
         if st.closed {
             return seq;
@@ -92,26 +93,26 @@ impl BroadcastRing {
     /// Closes the ring: no further events are accepted and every blocked
     /// reader wakes with `closed = true`.
     pub fn close(&self) {
-        let mut st = self.state.lock().expect("ring lock");
+        let mut st = lock(&self.state);
         st.closed = true;
         self.cond.notify_all();
     }
 
     /// Whether [`close`](Self::close) has been called.
     pub fn is_closed(&self) -> bool {
-        self.state.lock().expect("ring lock").closed
+        lock(&self.state).closed
     }
 
     /// Returns every retained event with `seq >= cursor`, blocking up to
     /// `timeout` when none are available yet. A timeout yields an empty
     /// read (the SSE handler turns that into a keep-alive comment).
     pub fn wait_after(&self, cursor: u64, timeout: Duration) -> RingRead {
-        let mut st = self.state.lock().expect("ring lock");
+        let mut st = lock(&self.state);
         if !st.closed && st.next_seq <= cursor {
             let (guard, _) = self
                 .cond
                 .wait_timeout_while(st, timeout, |s| !s.closed && s.next_seq <= cursor)
-                .expect("ring lock");
+                .unwrap_or_else(PoisonError::into_inner);
             st = guard;
         }
         let mut read = RingRead {

@@ -231,7 +231,7 @@ impl<'a, O: ContentionObserver> Client<'a, O> {
             }
             TraceEvent::Ref(r) => r,
         };
-        let Some(miss) = self.l1.access(record, &mut ()) else {
+        let Some(miss) = self.l1.access(record) else {
             return;
         };
         for (kind, addr) in miss.requests() {
@@ -291,18 +291,10 @@ impl<'a, O: ContentionObserver> Client<'a, O> {
                     let c = m.counter(&labeled("serve_client_chunks_total", "client", &client));
                     m.inc(c, 1);
                 });
-                let wall = started.elapsed().as_secs_f64();
-                handle.publish_heartbeat(&ServeHeartbeat {
-                    refs: self.l1.processor_refs(),
-                    wall_seconds: wall,
-                    refs_per_second: if wall > 0.0 {
-                        self.l1.processor_refs() as f64 / wall
-                    } else {
-                        0.0
-                    },
-                    window_miss_ratio: None,
-                    active_workers: None,
-                });
+                handle.publish_heartbeat(&ServeHeartbeat::at(
+                    self.l1.processor_refs(),
+                    started.elapsed().as_secs_f64(),
+                ));
             }
         }
         // Per-client latency summary rides on the root span, so the

@@ -108,7 +108,8 @@ pub(crate) fn sweep_standard(
     params: &ExperimentParams,
     assocs: &[u32],
 ) -> Vec<crate::runner::RunOutcome> {
-    use crate::runner::{simulate_many, RunSpec};
+    use crate::partition::available_threads;
+    use crate::runner::{simulate_many_with_threads, RunSpec};
 
     let preset = params.preset;
     let specs: Vec<RunSpec> = assocs
@@ -121,7 +122,7 @@ pub(crate) fn sweep_standard(
             tag_bits: params.tag_bits,
         })
         .collect();
-    simulate_many(&specs)
+    simulate_many_with_threads(&specs, available_threads())
 }
 
 /// Small-but-warm parameters for tests: a 4K-16 / 16K-32 hierarchy whose

@@ -4,8 +4,9 @@
 
 use crate::config::{table4_presets, HierarchyPreset, TABLE4_ASSOCS};
 use crate::experiments::ExperimentParams;
+use crate::partition::available_threads;
 use crate::report::{f2, f4, TextTable};
-use crate::runner::{simulate_many, RunSpec};
+use crate::runner::{simulate_many_with_threads, RunSpec};
 use serde::{Deserialize, Serialize};
 
 /// One row of the grid: one L1/L2 pair at one associativity.
@@ -82,7 +83,7 @@ pub fn run_with(params: &ExperimentParams, presets: &[HierarchyPreset], assocs: 
             labels.push((preset.label(), assoc));
         }
     }
-    let rows = simulate_many(&specs)
+    let rows = simulate_many_with_threads(&specs, available_threads())
         .into_iter()
         .zip(labels)
         .map(|(out, (config, assoc))| {

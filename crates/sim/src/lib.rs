@@ -26,7 +26,7 @@
 //! * [`report_html`] — HTML report sections for the explain and sweep
 //!   artifacts (`seta_obs::report` holds the renderer itself).
 //! * [`sweep_report`] — utilization analysis of a traced sweep
-//!   ([`runner::simulate_many_traced`]): per-worker busy fractions,
+//!   ([`runner::simulate_many_traced_with_threads`]): per-worker busy fractions,
 //!   shard-size histograms, the critical-path shard and a load-balance
 //!   score.
 //! * [`advisor`] — the paper's §4 decision procedure as a measured
@@ -67,10 +67,10 @@ pub mod runner;
 pub mod sweep_report;
 
 pub use config::HierarchyPreset;
-pub use explain::{explain, explain_traced, ExplainConfig, ExplainReport};
+pub use explain::{explain, ExplainConfig, ExplainReport};
 pub use metered::{simulate_instrumented, MeterConfig, MeteredRun};
 pub use runner::{
-    simulate, simulate_many_served, simulate_many_traced, simulate_traced, standard_strategies,
-    RunOutcome, StrategyResult,
+    simulate, simulate_many_served_with_threads, simulate_many_traced_with_threads,
+    simulate_traced, standard_strategies, RunOutcome, StrategyResult,
 };
 pub use sweep_report::{SweepReport, WorkerUtilization};

@@ -10,13 +10,10 @@
 //! [`Progress`] heartbeat reports refs/sec and ETA on stderr.
 //!
 //! The un-instrumented path never pays for any of this: `simulate` drives
-//! the hierarchy with the unit [`MetricsSink`],
-//! which monomorphizes to nothing.
+//! the same hierarchy with the plain [`Scorer`] as its only observer.
 
 use crate::runner::{assemble_outcome, RunOutcome, Scorer};
-use seta_cache::{
-    CacheConfig, L2Observer, L2RequestKind, L2RequestView, MetricsSink, TwoLevel, TwoLevelStats,
-};
+use seta_cache::{CacheConfig, L2Observer, L2RequestKind, L2RequestView, TwoLevel, TwoLevelStats};
 use seta_core::lookup::LookupStrategy;
 use seta_obs::export::{final_snapshot_line, snapshot_line};
 use seta_obs::timeseries::{WindowRecord, WindowSeries, DEFAULT_WINDOW_REFS};
@@ -197,18 +194,22 @@ impl<'a> Meter<'a> {
         probes.hits.probes + probes.misses.probes + probes.write_backs.probes
     }
 
-    /// Records one finished segment's wall time.
-    fn observe_segment(&mut self, wall_micros: u64) {
-        self.registry.observe(self.global.segment_wall, wall_micros);
+    /// Records the wall time of the segment phase `manifest` just ended.
+    fn observe_segment(&mut self, manifest: &RunManifest) {
+        let phase = manifest.phases.last().expect("phase just ended");
+        self.registry
+            .observe(self.global.segment_wall, phase.wall_micros);
     }
 
     /// Overwrites counters and gauges with the authoritative totals from
     /// the hierarchy and the scorer. All sources are monotone, so
-    /// repeated syncs yield monotone counter series.
-    fn sync(&mut self, stats: &TwoLevelStats, l1_hits: u64, elapsed_secs: f64) {
+    /// repeated syncs yield monotone counter series. Every L1 miss issues
+    /// exactly one read-in, so the L1 hits are the references that did not.
+    fn sync(&mut self, stats: &TwoLevelStats, elapsed_secs: f64) {
         let g = &self.global;
         self.registry.set_counter(g.refs, stats.processor_refs);
-        self.registry.set_counter(g.l1_hits, l1_hits);
+        self.registry
+            .set_counter(g.l1_hits, stats.processor_refs - stats.read_ins);
         self.registry.set_counter(g.flushes, stats.flushes);
         self.registry.set_counter(g.read_ins, stats.read_ins);
         self.registry
@@ -293,29 +294,9 @@ impl L2Observer for Meter<'_> {
 /// server: one worker, rate derived from the wall clock.
 fn live_heartbeat(refs: u64, wall_seconds: f64, window_miss_ratio: Option<f64>) -> ServeHeartbeat {
     ServeHeartbeat {
-        refs,
-        wall_seconds,
-        refs_per_second: if wall_seconds > 0.0 {
-            refs as f64 / wall_seconds
-        } else {
-            0.0
-        },
         window_miss_ratio,
         active_workers: Some(1),
-    }
-}
-
-/// Counts L1 outcomes through the hierarchy's [`MetricsSink`] hook.
-#[derive(Default)]
-struct RefSink {
-    l1_hits: u64,
-}
-
-impl MetricsSink for RefSink {
-    fn on_ref(&mut self, l1_hit: bool) {
-        if l1_hit {
-            self.l1_hits += 1;
-        }
+        ..ServeHeartbeat::at(refs, wall_seconds)
     }
 }
 
@@ -360,7 +341,6 @@ where
         hierarchy.enable_partial_lanes(spec);
     }
     let mut meter = Meter::new(strategies, l2.associativity(), cfg.window_refs);
-    let mut sink = RefSink::default();
     let mut span_buf = SpanBuffer::new(0, SpanClock::new());
     let run_span = span_buf.open("simulate", "run");
     let mut seg_span = span_buf.open("segment-0", "segment");
@@ -405,47 +385,34 @@ where
     for event in events {
         events_seen += 1;
         let is_flush = matches!(event, TraceEvent::Flush);
-        hierarchy.process_metered(&event, &mut meter, &mut sink);
-        if is_flush {
-            manifest.end_phase(segment_guard);
-            let span = manifest
-                .phases
-                .last()
-                .expect("phase just ended")
-                .wall_micros;
-            meter.observe_segment(span);
-            if let Some(w) = meter.windows.as_mut() {
+        hierarchy.process(&event, &mut meter);
+        if let Some(w) = meter.windows.as_mut() {
+            let closed = w.closed().len();
+            if is_flush {
                 w.on_segment_boundary();
+            } else {
+                w.on_ref();
+            }
+            if is_flush || w.closed().len() > closed {
                 if let Some(p) = progress.as_mut() {
                     p.set_window_miss_ratio(w.last_window_miss_ratio());
                 }
             }
-            if let (Some(h), Some(w)) = (cfg.serve.as_ref(), meter.windows.as_ref()) {
+            if let Some(h) = cfg.serve.as_ref() {
                 for row in &w.closed()[published_windows..] {
                     h.publish_window(row);
                 }
                 published_windows = w.closed().len();
             }
+        }
+        if is_flush {
+            manifest.end_phase(segment_guard);
+            meter.observe_segment(&manifest);
             span_buf.close(seg_span);
             segment += 1;
             segment_guard = manifest.begin_phase(&format!("segment-{segment}"));
             seg_span = span_buf.open(format!("segment-{segment}"), "segment");
             continue;
-        }
-        if let Some(w) = meter.windows.as_mut() {
-            let closed = w.closed().len();
-            w.on_ref();
-            if w.closed().len() > closed {
-                if let Some(p) = progress.as_mut() {
-                    p.set_window_miss_ratio(w.last_window_miss_ratio());
-                }
-            }
-        }
-        if let (Some(h), Some(w)) = (cfg.serve.as_ref(), meter.windows.as_ref()) {
-            for row in &w.closed()[published_windows..] {
-                h.publish_window(row);
-            }
-            published_windows = w.closed().len();
         }
         if let Some(p) = progress.as_mut() {
             p.tick(1);
@@ -454,11 +421,7 @@ where
         if refs >= next_snapshot {
             next_snapshot = refs + cfg.snapshot_every;
             if metrics_out.is_some() || cfg.serve.is_some() {
-                meter.sync(
-                    hierarchy.stats(),
-                    sink.l1_hits,
-                    started.elapsed().as_secs_f64(),
-                );
+                meter.sync(hierarchy.stats(), started.elapsed().as_secs_f64());
             }
             if let Some(out) = metrics_out.as_deref_mut() {
                 writeln!(out, "{}", snapshot_line(&meter.registry, seq, refs))?;
@@ -477,12 +440,7 @@ where
     }
 
     manifest.end_phase(segment_guard);
-    let span = manifest
-        .phases
-        .last()
-        .expect("phase just ended")
-        .wall_micros;
-    meter.observe_segment(span);
+    meter.observe_segment(&manifest);
     span_buf.close(seg_span);
     span_buf.counter(run_span, "refs", hierarchy.stats().processor_refs);
     span_buf.close(run_span);
@@ -494,11 +452,7 @@ where
         p.finish();
     }
 
-    meter.sync(
-        hierarchy.stats(),
-        sink.l1_hits,
-        started.elapsed().as_secs_f64(),
-    );
+    meter.sync(hierarchy.stats(), started.elapsed().as_secs_f64());
     let Meter {
         scorer,
         registry,

@@ -4,8 +4,8 @@
 //! Both consumers follow the same pattern: split a queue of work into
 //! contiguous chunks, then let `N` workers pull chunks off an atomic
 //! cursor. [`chunk_ranges`] produces the balanced contiguous split;
-//! [`worker_threads`] resolves how many workers to spawn, honouring the
-//! `SETA_THREADS` override for reproducible CI runs.
+//! [`available_threads`] is the default worker count callers pass when
+//! the user names none.
 
 use std::ops::Range;
 
@@ -41,21 +41,11 @@ pub fn chunk_ranges(len: usize, chunks: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Worker count for a queue of `queue_len` work items: the `SETA_THREADS`
-/// environment override if set (for reproducible CI runs), otherwise the
-/// available parallelism — in both cases clamped to the queue length, so a
-/// two-shard sweep never spawns a machine's worth of idle workers.
-pub fn worker_threads(queue_len: usize) -> usize {
-    let requested = std::env::var("SETA_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
-    requested.min(queue_len.max(1))
+/// The machine's available parallelism, or 1 when it cannot be read: the
+/// worker count to pass a sweep when the user names none. The sweep itself
+/// clamps it to its shard count.
+pub fn available_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 #[cfg(test)]
@@ -89,16 +79,6 @@ mod tests {
                 let max = *sizes.iter().max().unwrap();
                 assert!(max - min <= 1, "len={len} chunks={chunks} sizes={sizes:?}");
             }
-        }
-    }
-
-    #[test]
-    fn worker_threads_clamps_to_queue_length() {
-        assert_eq!(worker_threads(0), 1);
-        assert_eq!(worker_threads(1), 1);
-        assert!(worker_threads(64) >= 1);
-        for n in [0usize, 1, 2, 7, 64] {
-            assert!(worker_threads(n) <= n.max(1));
         }
     }
 }

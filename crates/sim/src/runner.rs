@@ -434,9 +434,9 @@ impl Shard {
         for event in events {
             match event {
                 TraceEvent::Ref(r) => {
-                    if let Some(miss) = l1.access(&r, &mut ()) {
+                    if let Some(miss) = l1.access(&r) {
                         for (l2, scorer) in &mut l2s {
-                            l2.serve(&miss, scorer, &mut ());
+                            l2.serve(&miss, scorer);
                         }
                     }
                 }
@@ -561,14 +561,12 @@ fn shard_plan(specs: &[RunSpec]) -> Vec<Shard> {
     shards
 }
 
-use crate::partition::worker_threads;
-
 /// Hooks the sharded sweep loop calls around each unit of work.
 ///
 /// The default [`NoTracer`] implements every method as an empty body on a
-/// unit worker type, so the un-traced [`simulate_many`] monomorphizes to
-/// exactly the code it had before tracing existed — the same zero-cost
-/// pattern as `ProbeObserver` and the unit `MetricsSink`. The traced path
+/// unit worker type, so the un-traced [`simulate_many_with_threads`]
+/// monomorphizes to exactly the code it had before tracing existed — the
+/// same zero-cost pattern as `ProbeObserver`. The traced path
 /// substitutes [`SweepSpanTracer`], which records per-shard, queue-wait
 /// and merge spans into per-worker [`SpanBuffer`]s merged at join.
 pub(crate) trait SweepTracer: Sync {
@@ -613,7 +611,7 @@ struct SweepTracerState {
     trace: SpanTrace,
 }
 
-/// The recording tracer behind [`simulate_many_traced`].
+/// The recording tracer behind [`simulate_many_traced_with_threads`].
 ///
 /// Workers record into private buffers (no locking on the hot path); the
 /// shared mutex is taken once per worker at join to merge, and briefly on
@@ -728,7 +726,7 @@ impl SweepTracer for SweepSpanTracer {
     }
 }
 
-/// The live-monitoring tracer behind [`simulate_many_served`].
+/// The live-monitoring tracer behind [`simulate_many_served_with_threads`].
 ///
 /// Wraps [`SweepSpanTracer`] — a served sweep still yields the span trace —
 /// and additionally publishes sweep progress to a [`ServeHandle`]:
@@ -770,17 +768,9 @@ impl ServeSweepTracer {
     }
 
     fn heartbeat(&self, refs: u64) -> ServeHeartbeat {
-        let wall_seconds = self.started.elapsed().as_secs_f64();
         ServeHeartbeat {
-            refs,
-            wall_seconds,
-            refs_per_second: if wall_seconds > 0.0 {
-                refs as f64 / wall_seconds
-            } else {
-                0.0
-            },
-            window_miss_ratio: None,
             active_workers: Some(self.workers as u64),
+            ..ServeHeartbeat::at(refs, self.started.elapsed().as_secs_f64())
         }
     }
 
@@ -874,76 +864,43 @@ fn shard_probe_total(results: &[(ProbeStats, ProbeStats)]) -> u64 {
 /// each spec serially through [`simulate`], whatever the grouping and the
 /// worker count.
 ///
-/// Worker count is `min(available_parallelism, shard count)`; set
-/// `SETA_THREADS` to pin it (e.g. `SETA_THREADS=1` for a reproducible
-/// sequential CI run).
-pub fn simulate_many(specs: &[RunSpec]) -> Vec<RunOutcome> {
-    let shards = shard_plan(specs);
-    let threads = worker_threads(shards.len());
-    simulate_sharded(specs, shards, threads, &NoTracer)
-}
-
-/// [`simulate_many`] with an explicit worker count, ignoring
-/// `SETA_THREADS` and the machine's parallelism. Useful for measuring
-/// scaling and for tests that must not depend on the environment.
+/// Runs on `threads` workers, clamped to the shard count; pass
+/// [`available_threads`](crate::partition::available_threads) for the
+/// machine's parallelism, or 1 for a sequential run.
 pub fn simulate_many_with_threads(specs: &[RunSpec], threads: usize) -> Vec<RunOutcome> {
     let shards = shard_plan(specs);
     let threads = threads.max(1).min(shards.len().max(1));
     simulate_sharded(specs, shards, threads, &NoTracer)
 }
 
-/// [`simulate_many`] with span tracing: outcomes are bit-identical to the
-/// un-traced sweep (the tracer only brackets whole shards — the per-access
-/// hot path is untouched), plus a [`SpanTrace`] holding the sweep root,
-/// per-worker roots, per-shard spans with counter attachments, queue-wait
-/// spans, and the merge span. Feed the trace to
+/// [`simulate_many_with_threads`] with span tracing: outcomes are
+/// bit-identical to the un-traced sweep (the tracer only brackets whole
+/// shards — the per-access hot path is untouched), plus a [`SpanTrace`]
+/// holding the sweep root, per-worker roots, per-shard spans with counter
+/// attachments, queue-wait spans, and the merge span. Feed the trace to
 /// [`SweepReport`](crate::sweep_report::SweepReport) for utilization
 /// analysis or export it as Perfetto JSON.
-pub fn simulate_many_traced(specs: &[RunSpec]) -> (Vec<RunOutcome>, SpanTrace) {
-    let shards = shard_plan(specs);
-    let threads = worker_threads(shards.len());
-    simulate_many_traced_impl(specs, shards, threads)
-}
-
-/// [`simulate_many_traced`] with an explicit worker count.
 pub fn simulate_many_traced_with_threads(
     specs: &[RunSpec],
     threads: usize,
 ) -> (Vec<RunOutcome>, SpanTrace) {
     let shards = shard_plan(specs);
     let threads = threads.max(1).min(shards.len().max(1));
-    simulate_many_traced_impl(specs, shards, threads)
-}
-
-fn simulate_many_traced_impl(
-    specs: &[RunSpec],
-    shards: Vec<Shard>,
-    threads: usize,
-) -> (Vec<RunOutcome>, SpanTrace) {
     let tracer = SweepSpanTracer::new();
     let shard_count = shards.len();
     let outcomes = simulate_sharded(specs, shards, threads, &tracer);
     (outcomes, tracer.finish(shard_count, threads))
 }
 
-/// [`simulate_many_traced`] additionally publishing live sweep progress —
-/// shard/ref/probe counters, per-worker busy gauges, and heartbeats — to a
-/// monitoring server's [`ServeHandle`]. Outcomes stay bit-identical to the
-/// un-served sweep: publishing happens only between shards.
+/// [`simulate_many_traced_with_threads`] additionally publishing live
+/// sweep progress — shard/ref/probe counters, per-worker busy gauges, and
+/// heartbeats — to a monitoring server's [`ServeHandle`]. Outcomes stay
+/// bit-identical to the un-served sweep: publishing happens only between
+/// shards.
 ///
 /// The caller keeps responsibility for `finish_run` on the handle, so it
 /// can publish final summary metrics after the sweep before the server
 /// reports the run as done.
-pub fn simulate_many_served(
-    specs: &[RunSpec],
-    handle: ServeHandle,
-) -> (Vec<RunOutcome>, SpanTrace) {
-    let shards = shard_plan(specs);
-    let threads = worker_threads(shards.len());
-    simulate_many_served_impl(specs, shards, threads, handle)
-}
-
-/// [`simulate_many_served`] with an explicit worker count.
 pub fn simulate_many_served_with_threads(
     specs: &[RunSpec],
     threads: usize,
@@ -951,15 +908,6 @@ pub fn simulate_many_served_with_threads(
 ) -> (Vec<RunOutcome>, SpanTrace) {
     let shards = shard_plan(specs);
     let threads = threads.max(1).min(shards.len().max(1));
-    simulate_many_served_impl(specs, shards, threads, handle)
-}
-
-fn simulate_many_served_impl(
-    specs: &[RunSpec],
-    shards: Vec<Shard>,
-    threads: usize,
-    handle: ServeHandle,
-) -> (Vec<RunOutcome>, SpanTrace) {
     let tracer = ServeSweepTracer::new(handle, shards.len(), threads);
     let shard_count = shards.len();
     let outcomes = simulate_sharded(specs, shards, threads, &tracer);
@@ -1327,7 +1275,7 @@ mod tests {
                 tag_bits: 16,
             })
             .collect();
-        let parallel = simulate_many(&specs);
+        let parallel = simulate_many_with_threads(&specs, crate::partition::available_threads());
         for (spec, out) in specs.iter().zip(&parallel) {
             let serial = simulate(
                 spec.l1,

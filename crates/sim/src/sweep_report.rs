@@ -53,7 +53,8 @@ pub struct SweepReport {
 
 impl SweepReport {
     /// Derives the report from a sweep's span trace (as produced by
-    /// `simulate_many_traced`; other traces yield an empty report).
+    /// `simulate_many_traced_with_threads`; other traces yield an empty
+    /// report).
     pub fn from_trace(trace: &SpanTrace) -> SweepReport {
         let wall_micros = trace.with_cat("sweep").map(|s| s.dur_us).max().unwrap_or(0);
         let merge_micros = trace.with_cat("merge").map(|s| s.dur_us).sum();

@@ -165,9 +165,9 @@ proptest! {
             whole.process(event, &mut |r: &L2RequestView<'_>| seen_whole.push(SeenRequest::of(r)));
             match event {
                 TraceEvent::Ref(r) => {
-                    if let Some(miss) = front.access(r, &mut ()) {
+                    if let Some(miss) = front.access(r) {
                         let mut obs = |r: &L2RequestView<'_>| seen_halves.push(SeenRequest::of(r));
-                        back.serve(&miss, &mut obs, &mut ());
+                        back.serve(&miss, &mut obs);
                     }
                 }
                 TraceEvent::Flush => {
@@ -202,10 +202,10 @@ proptest! {
         for event in &events {
             match event {
                 TraceEvent::Ref(r) => {
-                    if let Some(miss) = front.access(r, &mut ()) {
+                    if let Some(miss) = front.access(r) {
                         for (back, seen) in &mut backs {
                             let mut obs = |r: &L2RequestView<'_>| seen.push(SeenRequest::of(r));
-                            back.serve(&miss, &mut obs, &mut ());
+                            back.serve(&miss, &mut obs);
                         }
                     }
                 }

@@ -1,15 +1,14 @@
 //! Property tests for the sharded sweep runner: splitting a cold-start
 //! trace into per-segment shards and merging the counters is invisible.
-//! For any sweep spec, `simulate_many` — at any worker count, including
+//! For any sweep spec, `simulate_many_with_threads` — at any worker count, including
 //! the sequential fallback — returns `RunOutcome`s bit-identical to a
 //! plain per-spec `simulate` over the whole trace — including sweeps whose
 //! specs share a trace, seed and L1 and so run as one group.
 
 use proptest::prelude::*;
 use seta::cache::CacheConfig;
-use seta::sim::runner::{
-    simulate, simulate_many, simulate_many_with_threads, standard_strategies, RunSpec,
-};
+use seta::sim::partition::available_threads;
+use seta::sim::runner::{simulate, simulate_many_with_threads, standard_strategies, RunSpec};
 use seta::trace::gen::{AtumLike, AtumLikeConfig, MultiprogramConfig};
 
 /// A small but structurally complete sweep spec: 1–4 segments, cold or
@@ -144,11 +143,12 @@ proptest! {
         }
     }
 
-    /// The default entry point (auto-sized worker pool) agrees too.
+    /// The default worker count (the machine's available parallelism)
+    /// agrees too.
     #[test]
     fn default_worker_pool_agrees_with_sequential(spec in arbitrary_spec()) {
         let expected = sequential(&spec);
-        let outcomes = simulate_many(std::slice::from_ref(&spec));
+        let outcomes = simulate_many_with_threads(std::slice::from_ref(&spec), available_threads());
         prop_assert_eq!(outcomes.len(), 1);
         prop_assert_eq!(&fingerprint(&outcomes[0]), &expected);
     }
