@@ -85,6 +85,9 @@ struct Options {
     contention_out: Option<String>,
 }
 
+/// The experiments that take `--threads`.
+const THREADED: [&str; 3] = ["sweep", "report", "bench-serve"];
+
 fn parse_args() -> Result<Options, String> {
     let mut args = std::env::args().skip(1);
     let experiment = args.next().ok_or_else(usage)?;
@@ -248,6 +251,16 @@ fn parse_args() -> Result<Options, String> {
     }
     if opts.serve.is_none() && opts.serve_linger > 0 {
         return Err("--serve-linger needs --serve".into());
+    }
+    // Every other experiment sweeps on the machine's available
+    // parallelism, so a worker count given to it would be ignored.
+    if opts.threads.is_some() && !THREADED.contains(&opts.experiment.as_str()) {
+        return Err(format!(
+            "--threads applies only to {}, not {}\n{}",
+            THREADED.join(", "),
+            opts.experiment,
+            usage()
+        ));
     }
     Ok(opts)
 }
@@ -859,12 +872,15 @@ fn serve_strategy(
 /// thread count ([`seta_serve::replay_contended`]) — kept separate so
 /// the observer's clock reads cannot perturb the timed rows.
 ///
-/// Three correctness gates run inline: every outcome must conserve its
+/// Four correctness gates run inline: every outcome must conserve its
 /// tallies ([`seta_serve::LoadOutcome::conserves`]), the 1-thread
 /// replay must be bit-identical — shared-cache statistics and probe
-/// accounting — to the sequential [`simulate`] of the same events, and
+/// accounting — to the sequential [`simulate`] of the same events,
 /// every instrumented pass's per-stripe accesses/hits must sum exactly
-/// to its cache's own totals.
+/// to its cache's own totals with no more acquisitions than accesses,
+/// and the 1-thread pass must answer without the lock exactly the
+/// requests the sequential hierarchy sees hit an MRU block without
+/// changing it ([`seta_serve::loadgen::unchanging_mru_hits`]).
 fn run_bench_serve(opts: &Options) -> Result<(), String> {
     let trace_path = opts.trace_path.as_deref().unwrap_or("traces/tiny.din");
     let text =
@@ -891,6 +907,9 @@ fn run_bench_serve(opts: &Options) -> Result<(), String> {
 
     let strategies = vec![boxed];
     let sequential = simulate(l1, l2, events.iter().copied(), &strategies);
+    // The requests one client answers from MRU words, counted by the
+    // sequential hierarchy.
+    let lock_free_oracle = seta_serve::loadgen::unchanging_mru_hits(l1, l2, kind, &events);
 
     let threads = if opts.thread_list.is_empty() {
         vec![1, 2, 4]
@@ -932,6 +951,7 @@ fn run_bench_serve(opts: &Options) -> Result<(), String> {
         }
         if creport.total_accesses() != cout.l2_stats.accesses()
             || creport.total_hits() != cout.l2_stats.hits()
+            || creport.total_acquisitions() > creport.total_accesses()
         {
             return Err(format!(
                 "{t}-thread contention attribution does not reconcile: \
@@ -940,6 +960,13 @@ fn run_bench_serve(opts: &Options) -> Result<(), String> {
                 creport.total_hits(),
                 cout.l2_stats.accesses(),
                 cout.l2_stats.hits()
+            ));
+        }
+        if t == 1 && creport.lock_free() != lock_free_oracle {
+            return Err(format!(
+                "1-thread replay answered {} requests without the lock; \
+                 the sequential hierarchy counts {lock_free_oracle} MRU hits that change nothing",
+                creport.lock_free()
             ));
         }
         if let Some(s) = server.as_ref() {
@@ -976,6 +1003,7 @@ fn run_bench_serve(opts: &Options) -> Result<(), String> {
         "strategy": opts.strategy.clone(),
         "stripes": spec.stripes,
         "l2_assoc": opts.assoc,
+        "lock_free_oracle": lock_free_oracle,
         "rows": rows.clone(),
         "contention": summaries,
     });
@@ -1021,10 +1049,15 @@ fn run_bench_serve(opts: &Options) -> Result<(), String> {
     }
 
     println!("contention attribution (instrumented pass, sampled p99 ns by phase)");
-    println!("threads   total p99   wait p99   service p99   overhead p99   mean wait   mean hold");
+    println!(
+        "threads   total p99   wait p99   service p99   overhead p99   mean wait   mean hold   lock-free"
+    );
     for (t, _, report) in &contended {
+        // Requests answered from an MRU word take no lock, so they leave
+        // no wait or hold sample: the means are per acquisition.
+        let lock_free = report.lock_free() as f64 / report.total_accesses().max(1) as f64;
         println!(
-            "{:>7} {:>11} {:>10} {:>13} {:>14} {:>11.1} {:>11.1}",
+            "{:>7} {:>11} {:>10} {:>13} {:>14} {:>11.1} {:>11.1} {:>10.1}%",
             t,
             report.phases.total_percentile_ns(99.0).unwrap_or(0),
             report.phases.wait_percentile_ns(99.0).unwrap_or(0),
@@ -1032,6 +1065,7 @@ fn run_bench_serve(opts: &Options) -> Result<(), String> {
             report.phases.overhead_percentile_ns(99.0).unwrap_or(0),
             report.mean_wait_ns(),
             report.mean_hold_ns(),
+            100.0 * lock_free,
         );
     }
     Ok(())

@@ -56,6 +56,27 @@ fn paper_tables_rejects_unknown_experiment() {
     assert!(err.contains("usage:"));
 }
 
+/// `--threads` is refused, before anything runs, by every experiment
+/// that would ignore it, with a message naming the ones that take it.
+#[test]
+fn paper_tables_refuses_threads_where_it_would_be_ignored() {
+    for args in [
+        &["table4", "--scale", "400", "--threads", "1"][..],
+        &["all", "--threads", "2"],
+        &["fig3", "--threads", "2"],
+        &["run", "--threads", "1"],
+    ] {
+        let out = paper_tables(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(
+            err.contains("--threads applies only to sweep, report, bench-serve, not"),
+            "{args:?}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}: nothing ran");
+    }
+}
+
 #[test]
 fn paper_tables_run_writes_parseable_jsonl_metrics() {
     let metrics = tmp("run.jsonl");

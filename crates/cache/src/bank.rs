@@ -272,8 +272,14 @@ impl SetBank {
     /// search of a set, so a caller that needs the hit facts before an
     /// access [`locate`](Self::locate)s once and hands the result to
     /// [`apply`](Self::apply).
+    ///
+    /// A one-way set (every benchmark L1) is one tag compare and one flag
+    /// test: its only way is always the MRU.
     #[inline(always)]
     pub(crate) fn locate(&self, set: usize, tag: u64) -> Option<(u8, usize)> {
+        if self.assoc == 1 {
+            return (self.tags[set] == tag && self.flags[set] & VALID != 0).then_some((0, 0));
+        }
         let way = self.frames(set).position(tag)? as u8;
         Some((way, self.replacement.recency_of(set, way)))
     }
@@ -300,6 +306,9 @@ impl SetBank {
         found: Option<(u8, usize)>,
     ) -> BankAccess {
         debug_assert_eq!(found, self.locate(set, tag), "stale locate result");
+        if self.assoc == 1 {
+            return self.apply_direct(set, tag, is_write, found.is_some());
+        }
         let Some((way, pos)) = found else {
             return self.fill(set, tag, is_write);
         };
@@ -310,6 +319,38 @@ impl SetBank {
             way,
             mru_distance: Some(pos),
             evicted: None,
+        }
+    }
+
+    /// [`apply`](Self::apply) for a one-way set. Its recency list is
+    /// always `[0]`, so neither side touches it: a hit ORs in the dirty
+    /// bit, and a miss replaces way 0 whatever the policy (so
+    /// [`Policy::Random`] draws nothing from its RNG).
+    #[inline(always)]
+    fn apply_direct(&mut self, set: usize, tag: u64, is_write: bool, hit: bool) -> BankAccess {
+        let dirty = u8::from(is_write) * DIRTY;
+        if hit {
+            self.flags[set] |= dirty;
+            return BankAccess {
+                hit: true,
+                way: 0,
+                mru_distance: Some(0),
+                evicted: None,
+            };
+        }
+        let victim = self.flags[set];
+        let evicted = (victim & VALID != 0).then_some((self.tags[set], victim & DIRTY != 0));
+        self.tags[set] = tag;
+        self.flags[set] = VALID | dirty;
+        if let Some(lanes) = &mut self.lanes {
+            lanes.on_fill(set, 0, tag);
+        }
+        self.debug_check_lanes(set);
+        BankAccess {
+            hit: false,
+            way: 0,
+            mru_distance: None,
+            evicted,
         }
     }
 
@@ -661,7 +702,9 @@ mod tests {
         /// position before every access, and `apply` on that result gives
         /// the model's outcome, frames, recency lists, resident set and
         /// (with lanes on) lane words; the counters recorded from every
-        /// outcome match the model's.
+        /// outcome match the model's. One-way sets, which take the bank's
+        /// direct-mapped path, are one associativity in five, under all
+        /// three policies.
         #[test]
         fn flat_store_matches_frame_store(
             ops in proptest::collection::vec(op(), 1..240),

@@ -579,6 +579,84 @@ mod tests {
             }
         }
 
+        /// A one-way cache, the benchmark's every L1, agrees under every
+        /// policy with a reference model that holds one `(tag, dirty)` slot
+        /// per set: writes, flushes and invalidations included, down to the
+        /// evicted address, the statistics and the (trivial) recency list.
+        #[test]
+        fn one_way_cache_matches_reference_model(
+            ops in proptest::collection::vec((0u64..0x800, 0u8..16), 1..300),
+            policy_idx in 0usize..3,
+            seed in 0u64..1000,
+        ) {
+            let policy = Policy::ALL[policy_idx];
+            // 16 sets x 1 way x 16 B.
+            let config = CacheConfig::direct_mapped(256, 16).unwrap();
+            let mut cache = Cache::with_policy(config, policy, seed);
+            let mapper = *cache.mapper();
+            let mut model: Vec<Option<(u64, bool)>> = vec![None; 16];
+            let (mut hits, mut misses, mut write_hits, mut evictions, mut dirty_evictions) =
+                (0u64, 0u64, 0u64, 0u64, 0u64);
+            for (addr, op) in ops {
+                let set = mapper.set_of(addr);
+                let tag = mapper.tag_of(addr);
+                let slot = &mut model[set as usize];
+                match op {
+                    0 => {
+                        cache.flush();
+                        model.fill(None);
+                    }
+                    1 => {
+                        let resident = slot.is_some_and(|(t, _)| t == tag);
+                        if resident {
+                            *slot = None;
+                        }
+                        prop_assert_eq!(cache.invalidate(addr), resident);
+                    }
+                    _ => {
+                        let write = op % 2 == 0;
+                        let r = cache.access(addr, write);
+                        match *slot {
+                            Some((t, dirty)) if t == tag => {
+                                hits += 1;
+                                write_hits += u64::from(write);
+                                *slot = Some((t, dirty || write));
+                                prop_assert_eq!(r.mru_distance, Some(0));
+                                prop_assert_eq!(r.evicted, None);
+                            }
+                            old => {
+                                misses += 1;
+                                let evicted = old.map(|(t, dirty)| EvictedBlock {
+                                    addr: mapper.block_addr(t, set),
+                                    dirty,
+                                });
+                                evictions += u64::from(evicted.is_some());
+                                dirty_evictions += u64::from(evicted.is_some_and(|e| e.dirty));
+                                *slot = Some((tag, write));
+                                prop_assert_eq!(r.mru_distance, None);
+                                prop_assert_eq!(r.evicted, evicted);
+                            }
+                        }
+                        prop_assert_eq!(r.way, 0);
+                    }
+                }
+                let frames: Vec<(u64, bool)> = cache
+                    .set_frames(set)
+                    .iter()
+                    .filter(|f| f.valid)
+                    .map(|f| (f.tag, f.dirty))
+                    .collect();
+                prop_assert_eq!(frames, model[set as usize].into_iter().collect::<Vec<_>>());
+                prop_assert_eq!(cache.set_order(set), &[0u8][..]);
+            }
+            let s = cache.stats();
+            prop_assert_eq!(
+                [s.hits(), s.misses(), s.write_hits(), s.evictions(), s.dirty_evictions()],
+                [hits, misses, write_hits, evictions, dirty_evictions]
+            );
+            prop_assert_eq!(cache.resident_blocks(), model.iter().flatten().count());
+        }
+
         /// Total resident blocks never exceeds capacity and set recency
         /// lists stay permutations.
         #[test]

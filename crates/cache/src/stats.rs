@@ -43,6 +43,15 @@ impl CacheStats {
         self.write_misses += miss & write;
     }
 
+    /// Records `hits` hits at once, `write_hits` of them writes: counts a
+    /// caller kept in counters of its own, folded back in.
+    #[inline]
+    pub fn record_hits(&mut self, hits: u64, write_hits: u64) {
+        debug_assert!(write_hits <= hits, "more write hits than hits");
+        self.hits += hits;
+        self.write_hits += write_hits;
+    }
+
     /// Records one [`SetBank`](crate::SetBank) access from the outcome the
     /// bank returned: a hit or a miss, and on an evicting miss the
     /// displaced block, dirty or clean. The bank keeps no counters of its

@@ -30,11 +30,15 @@ use serde::{Deserialize, Serialize};
 pub struct StripeStats {
     /// Stripe index within the cache.
     pub stripe: usize,
-    /// Lock acquisitions (one per request routed to this stripe).
+    /// Lock acquisitions: one per request to this stripe that took the
+    /// lock. A request answered from its set's MRU word takes none, so
+    /// `accesses - acquisitions` counts the lock-free requests.
     pub acquisitions: u64,
-    /// Nanoseconds spent waiting for the stripe lock, log2-bucketed.
+    /// Nanoseconds spent waiting for the stripe lock, log2-bucketed: one
+    /// sample per acquisition.
     pub wait_ns: Log2Histogram,
-    /// Nanoseconds the lock was held (the critical section), log2-bucketed.
+    /// Nanoseconds the lock was held (the critical section), log2-bucketed:
+    /// one sample per acquisition.
     pub hold_ns: Log2Histogram,
     /// Shared-cache accesses this stripe served.
     pub accesses: u64,
@@ -67,8 +71,9 @@ impl StripeStats {
     }
 }
 
-/// Hook invoked by the concurrent cache once per request, after the
-/// stripe lock is released. `ENABLED = false` implementations compile
+/// Hook invoked by the concurrent cache once per request: after the
+/// stripe lock is released, or with no lock at all for a request its
+/// set's MRU word answered. `ENABLED = false` implementations compile
 /// the instrumentation — including both clock reads — out of the request
 /// path entirely; the observer only ever changes what is *measured*,
 /// never what the cache does, so contents, statistics and probe counts
@@ -83,6 +88,13 @@ pub trait ContentionObserver {
     /// the lock, held it for `hold_ns`, and hit or missed.
     fn on_request(&mut self, stripe: usize, wait_ns: u64, hold_ns: u64, hit: bool) {
         let _ = (stripe, wait_ns, hold_ns, hit);
+    }
+
+    /// One request to `stripe` completed without the lock, answered from
+    /// its set's MRU word: an access with no acquisition and no wait or
+    /// hold sample.
+    fn on_lock_free(&mut self, stripe: usize, hit: bool) {
+        let _ = (stripe, hit);
     }
 
     /// Lock-wait component of the most recent request, nanoseconds.
@@ -163,8 +175,8 @@ impl StripeContention {
         self.stripes.iter().map(|s| s.acquisitions).sum()
     }
 
-    /// Mean lock-wait nanoseconds across every request (exact: the log2
-    /// histograms keep exact counts and sums).
+    /// Mean lock-wait nanoseconds across every lock acquisition (exact:
+    /// the log2 histograms keep exact counts and sums).
     pub fn mean_wait_ns(&self) -> f64 {
         let count: u64 = self.stripes.iter().map(|s| s.wait_ns.count).sum();
         let sum: u64 = self.stripes.iter().map(|s| s.wait_ns.sum).sum();
@@ -175,7 +187,7 @@ impl StripeContention {
         }
     }
 
-    /// Mean lock-hold nanoseconds across every request.
+    /// Mean lock-hold nanoseconds across every lock acquisition.
     pub fn mean_hold_ns(&self) -> f64 {
         let count: u64 = self.stripes.iter().map(|s| s.hold_ns.count).sum();
         let sum: u64 = self.stripes.iter().map(|s| s.hold_ns.sum).sum();
@@ -199,6 +211,14 @@ impl ContentionObserver for StripeContention {
         s.hold_ns.observe(hold_ns);
         self.last_wait_ns = wait_ns;
         self.last_hold_ns = hold_ns;
+    }
+
+    fn on_lock_free(&mut self, stripe: usize, hit: bool) {
+        let s = &mut self.stripes[stripe];
+        s.accesses += 1;
+        s.hits += u64::from(hit);
+        self.last_wait_ns = 0;
+        self.last_hold_ns = 0;
     }
 
     fn last_wait_ns(&self) -> u64 {
@@ -379,7 +399,18 @@ impl ContentionReport {
         self.stripes.iter().map(|s| s.hits).sum()
     }
 
-    /// Mean lock-wait nanoseconds over every request.
+    /// Sum of per-stripe lock acquisitions.
+    pub fn total_acquisitions(&self) -> u64 {
+        self.stripes.iter().map(|s| s.acquisitions).sum()
+    }
+
+    /// Accesses that took no lock (`accesses - acquisitions`): the
+    /// requests their sets' MRU words answered.
+    pub fn lock_free(&self) -> u64 {
+        self.total_accesses() - self.total_acquisitions()
+    }
+
+    /// Mean lock-wait nanoseconds over every lock acquisition.
     pub fn mean_wait_ns(&self) -> f64 {
         let count: u64 = self.stripes.iter().map(|s| s.wait_ns.count).sum();
         let sum: u64 = self.stripes.iter().map(|s| s.wait_ns.sum).sum();
@@ -390,7 +421,7 @@ impl ContentionReport {
         }
     }
 
-    /// Mean lock-hold nanoseconds over every request.
+    /// Mean lock-hold nanoseconds over every lock acquisition.
     pub fn mean_hold_ns(&self) -> f64 {
         let count: u64 = self.stripes.iter().map(|s| s.hold_ns.count).sum();
         let sum: u64 = self.stripes.iter().map(|s| s.hold_ns.sum).sum();
@@ -475,9 +506,9 @@ pub struct SummaryArtifactRow {
     pub wait_p99_ns: u64,
     /// p99 of the service component.
     pub service_p99_ns: u64,
-    /// Mean lock wait over every request (not just sampled ones).
+    /// Mean lock wait over every lock acquisition (not just sampled ones).
     pub wait_ns_mean: f64,
-    /// Mean lock hold over every request.
+    /// Mean lock hold over every lock acquisition.
     pub hold_ns_mean: f64,
 }
 
@@ -515,6 +546,21 @@ mod tests {
         assert_eq!(obs.last_wait_ns(), 5);
         assert_eq!(obs.last_hold_ns(), 50);
         assert!((obs.mean_wait_ns() - 35.0 / 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn lock_free_requests_are_accesses_without_acquisitions() {
+        let mut obs = StripeContention::new(2);
+        obs.on_request(1, 40, 400, false);
+        obs.on_lock_free(1, true);
+        obs.on_lock_free(0, true);
+        assert_eq!(obs.total_accesses(), 3);
+        assert_eq!(obs.total_hits(), 2);
+        assert_eq!(obs.total_acquisitions(), 1);
+        let s = &obs.stripes()[1];
+        assert_eq!((s.wait_ns.count, s.hold_ns.count), (1, 1), "no samples");
+        assert_eq!((obs.last_wait_ns(), obs.last_hold_ns()), (0, 0));
+        assert!((obs.mean_wait_ns() - 40.0).abs() < 1e-12, "per acquisition");
     }
 
     #[test]
@@ -641,6 +687,7 @@ mod tests {
         };
         assert_eq!(report.total_accesses(), 100);
         assert_eq!(report.total_hits(), 34);
+        assert_eq!((report.total_acquisitions(), report.lock_free()), (100, 0));
         assert!((report.mean_wait_ns() - 1.0).abs() < 1e-12);
         assert!((report.mean_hold_ns() - 2.0).abs() < 1e-12);
     }

@@ -13,18 +13,40 @@
 //! hit way and MRU distance — so the critical section is the set access
 //! and no set snapshot.
 //!
-//! A request writes only the mutex word, its set, and its own client's
-//! counters. The bank counts nothing; each stripe keeps one
-//! tally per client slot, each in its own 128 bytes, and a
-//! request counts into its client's tally from the access the bank
-//! returned. The stripe's fields start on a line after the mutex word's.
-//! With one shared tally per stripe, next to the mutex word, those lines
-//! moved between cores on nearly every request, and two clients at 16
-//! stripes ran no faster than one.
+//! **MRU hits take no lock.** The paper's MRU scheme pays off because
+//! most hits land on the set's most-recently-used block, and a hit there
+//! changes nothing: under LRU the block is already first, and a
+//! write-back to a block that is already dirty sets no bit. So each set
+//! also has one [`AtomicU64`], its *MRU word*, packing the MRU frame's
+//! tag, way, dirty and valid bits. A request whose tag matches the word
+//! (and, for a write-back, finds it dirty) is answered from that one
+//! `Acquire` load, priced at MRU distance 0, and counted into its
+//! client's lock-free tally with `Relaxed` adds. Every other request —
+//! a miss, a hit below the MRU, the first write-back to a clean block, a
+//! tag too wide to pack, and every request priced by partial compare,
+//! whose distance-0 price reads the set — locks its stripe, and after the
+//! access stores the set's new MRU word with `Release` if it changed.
+//!
+//! This is linearizable: a lock-free request reads one word and writes no
+//! set state, and the word equals the bank's MRU frame whenever the lock
+//! is free. So it takes effect at its load, before or after the locked
+//! access that republishes the word.
+//!
+//! A locked request writes the mutex word, its set, its set's MRU word
+//! when that changes, and its own client's counters; a lock-free one
+//! writes only its client's counters. The bank counts nothing; each
+//! stripe keeps one tally per client slot for locked requests, the cache
+//! keeps one per client slot for lock-free ones, each in its own 128
+//! bytes, and the stripe's fields start on a line after the mutex word's. With one shared tally per
+//! stripe, next to the mutex word, those lines moved between cores on
+//! nearly every request, and two clients at 16 stripes ran no faster than
+//! one.
 
-use seta_cache::{AddressMapper, CacheConfig, CacheStats, Policy, SetBank};
+use seta_cache::{AddressMapper, CacheConfig, CacheStats, Frame, Policy, SetBank};
 use seta_core::{PricedSet, ProbeStats, StrategyKind, MAX_ASSOC};
 use seta_obs::{ContentionObserver, NoContention};
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -44,15 +66,95 @@ pub struct Response {
     pub stripe: usize,
 }
 
-/// What one client's requests to one stripe counted: the accesses and
-/// what the lookup strategy spent on them. Aligned to 128 bytes, a pair
-/// of cache lines, so that no two clients' tallies share a line, nor
+/// MRU word bit: the word names a block (0 names none).
+const WORD_VALID: u64 = 1;
+/// MRU word bit: the block is dirty.
+const WORD_DIRTY: u64 = 2;
+/// The way sits in bits 2..7: five bits, enough for [`MAX_ASSOC`] ways.
+const WAY_SHIFT: u32 = 2;
+/// The tag sits above the way.
+const TAG_SHIFT: u32 = 7;
+const _: () = assert!(MAX_ASSOC <= 1 << (TAG_SHIFT - WAY_SHIFT));
+
+/// The MRU word of a set whose MRU frame is `frame`, in way `way`: 0 if
+/// the frame is empty or its tag does not fit beside the 7 low bits.
+#[inline]
+fn mru_word(frame: Frame, way: u8) -> u64 {
+    if !frame.valid || frame.tag >> (u64::BITS - TAG_SHIFT) != 0 {
+        return 0;
+    }
+    (frame.tag << TAG_SHIFT)
+        | (u64::from(way) << WAY_SHIFT)
+        | (u64::from(frame.dirty) * WORD_DIRTY)
+        | WORD_VALID
+}
+
+/// Set `set` of `bank`'s MRU frame: the way first on its recency list,
+/// and that way's frame.
+#[cfg(any(debug_assertions, test))]
+fn mru_of(bank: &SetBank, set: usize) -> (u8, Frame) {
+    let way = bank.order(set)[0];
+    let frame = bank.frames(set).get(usize::from(way));
+    (way, frame.expect("the recency list names a way of the set"))
+}
+
+/// The way `word` names if a request for `tag` hits there and changes
+/// nothing: the tag matches, and for a write-back the block is already
+/// dirty. Comparing `word >> TAG_SHIFT` with the whole tag means a tag too
+/// wide to pack never matches.
+#[inline]
+fn mru_hit(word: u64, tag: u64, is_write_back: bool) -> Option<u8> {
+    let need = WORD_VALID | (u64::from(is_write_back) * WORD_DIRTY);
+    (word >> TAG_SHIFT == tag && word & need == need)
+        .then_some((word >> WAY_SHIFT) as u8 & (MAX_ASSOC as u8 - 1))
+}
+
+/// What one client's locked requests to one stripe counted: the accesses
+/// and what the lookup strategy spent on them. Aligned to 128 bytes, a
+/// pair of cache lines, so that no two clients' tallies share a line, nor
 /// does a tally share one with the adjacent-line prefetcher's partner.
 #[derive(Debug, Clone, Default)]
 #[repr(align(128))]
 struct ClientTally {
     stats: CacheStats,
     probes: ProbeStats,
+}
+
+/// What one client's lock-free requests counted, across all stripes: each
+/// one a hit at MRU distance 0. Written with `Relaxed` adds, outside any
+/// lock, and aligned like [`ClientTally`] so that only this client writes
+/// its lines (the public request methods share slot 0, which the adds keep
+/// exact).
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct LockFreeTally {
+    read_in_hits: AtomicU64,
+    read_in_probes: AtomicU64,
+    write_back_hits: AtomicU64,
+}
+
+impl LockFreeTally {
+    /// Adds these counts to `total`.
+    fn add_to(&self, total: &mut ClientTally) {
+        let read_in_hits = self.read_in_hits.load(Ordering::Relaxed);
+        let write_back_hits = self.write_back_hits.load(Ordering::Relaxed);
+        total
+            .stats
+            .record_hits(read_in_hits + write_back_hits, write_back_hits);
+        total.probes.hits.count += read_in_hits;
+        total.probes.hits.probes += self.read_in_probes.load(Ordering::Relaxed);
+        total.probes.write_backs.count += write_back_hits;
+    }
+}
+
+/// Whether a request priced by `strategy` may be answered from its set's
+/// MRU word, without the lock: true for every strategy but partial
+/// compare, whose price at MRU distance 0 still depends on the set's
+/// contents. A truncated MRU list always names the MRU way, so its
+/// distance-0 price does not.
+#[inline]
+pub(crate) fn answers_mru_hits_lock_free(strategy: StrategyKind) -> bool {
+    !matches!(strategy, StrategyKind::Partial(_))
 }
 
 /// One stripe: a contiguous range of sets behind one lock, with one tally
@@ -70,12 +172,51 @@ struct Stripe {
     tallies: Box<[ClientTally]>,
 }
 
+/// A locked stripe, with the MRU words of its sets.
+///
+/// Dropped during a panic, it zeroes those words before the lock is
+/// released poisoned: a panic may leave a set half updated and its word
+/// stale, and a zero word sends every later request for the stripe's sets
+/// to the lock, which refuses them (see [`ConcurrentCache::stripe`]).
+struct StripeGuard<'a> {
+    stripe: MutexGuard<'a, Stripe>,
+    mru: &'a [AtomicU64],
+}
+
+impl Deref for StripeGuard<'_> {
+    type Target = Stripe;
+
+    #[inline]
+    fn deref(&self) -> &Stripe {
+        &self.stripe
+    }
+}
+
+impl DerefMut for StripeGuard<'_> {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut Stripe {
+        &mut self.stripe
+    }
+}
+
+impl Drop for StripeGuard<'_> {
+    #[inline]
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            for word in self.mru {
+                word.store(0, Ordering::Release);
+            }
+        }
+    }
+}
+
 /// A sharded concurrent set-associative write-back cache.
 ///
 /// Shared by reference across client threads (`&ConcurrentCache` is
-/// `Send + Sync`); every request locks exactly one stripe, so requests to
-/// different stripes proceed in parallel and there is never more than one
-/// lock held — no lock-ordering discipline, hence no deadlock.
+/// `Send + Sync`); a request locks at most one stripe, and one that hits
+/// its set's MRU block locks none, so requests to different stripes
+/// proceed in parallel and there is never more than one lock held — no
+/// lock-ordering discipline, hence no deadlock.
 ///
 /// # Example
 ///
@@ -92,7 +233,7 @@ struct Stripe {
 ///     8,
 /// );
 /// assert!(!cache.get(0x1000).hit); // cold miss fills
-/// assert!(cache.get(0x1000).hit);
+/// assert!(cache.get(0x1000).hit); // an MRU hit, answered without the lock
 /// assert_eq!(cache.stats().accesses(), 2);
 /// # Ok(())
 /// # }
@@ -105,8 +246,17 @@ pub struct ConcurrentCache {
     /// Whether pricing a read-in reads the set's contents before the
     /// access (see [`StrategyKind::scans`]).
     scans: bool,
+    /// Whether an MRU-word hit may answer a request without the lock (see
+    /// [`answers_mru_hits_lock_free`]).
+    lock_free: bool,
     sets_per_stripe: u64,
+    /// Tally slots per stripe.
+    clients: usize,
     stripes: Vec<Mutex<Stripe>>,
+    /// One MRU word per set, indexed by set.
+    mru: Box<[AtomicU64]>,
+    /// One lock-free tally per client slot.
+    lock_free_tallies: Box<[LockFreeTally]>,
 }
 
 impl ConcurrentCache {
@@ -143,6 +293,7 @@ impl ConcurrentCache {
         );
         let stripes = Self::effective_stripes(&config, stripes) as u64;
         let sets_per_stripe = num_sets / stripes;
+        let clients = clients.max(1);
         let lane_spec = match strategy {
             StrategyKind::Partial(p) => p.lane_spec(assoc),
             _ => None,
@@ -155,7 +306,7 @@ impl ConcurrentCache {
                 }
                 Mutex::new(Stripe {
                     bank,
-                    tallies: vec![ClientTally::default(); clients.max(1)].into(),
+                    tallies: vec![ClientTally::default(); clients].into(),
                 })
             })
             .collect();
@@ -164,8 +315,12 @@ impl ConcurrentCache {
             mapper: AddressMapper::new(config.block_size(), num_sets),
             strategy,
             scans: strategy.scans(assoc),
+            lock_free: answers_mru_hits_lock_free(strategy),
             sets_per_stripe,
+            clients,
             stripes: stripe_vec,
+            mru: (0..num_sets).map(|_| AtomicU64::new(0)).collect(),
+            lock_free_tallies: (0..clients).map(|_| LockFreeTally::default()).collect(),
         }
     }
 
@@ -196,6 +351,7 @@ impl ConcurrentCache {
 
     /// A read-in request: the service's `get`. Prices the lookup, then
     /// fills on a miss (evicting if needed).
+    #[inline]
     pub fn read_in(&self, addr: u64) -> Response {
         self.request(0, addr, false, &mut NoContention)
     }
@@ -203,26 +359,30 @@ impl ConcurrentCache {
     /// A write-back request: the service's `insert`. Under the write-back
     /// optimization it costs zero probes — the L1's position hint replaces
     /// the search — but still counts as an access.
+    #[inline]
     pub fn write_back(&self, addr: u64) -> Response {
         self.request(0, addr, true, &mut NoContention)
     }
 
     /// Alias for [`read_in`](Self::read_in) in service terms.
+    #[inline]
     pub fn get(&self, key: u64) -> Response {
         self.read_in(key)
     }
 
     /// Alias for [`write_back`](Self::write_back) in service terms.
+    #[inline]
     pub fn insert(&self, key: u64) -> Response {
         self.write_back(key)
     }
 
     /// [`read_in`](Self::read_in) with contention attribution: when the
-    /// observer's `ENABLED` constant is true, the lock wait and hold are
-    /// timed and reported to it once per request (after the lock drops).
-    /// With [`NoContention`] this monomorphizes to exactly the plain
-    /// request path — no clock reads, no observer calls — so contents,
-    /// statistics and probes are bit-identical with any observer.
+    /// observer's `ENABLED` constant is true, a locked request's lock
+    /// wait and hold are timed and reported to it once (after the lock
+    /// drops), and a lock-free one is reported as such. With
+    /// [`NoContention`] this monomorphizes to exactly the plain request
+    /// path — no clock reads, no observer calls — so contents, statistics
+    /// and probes are bit-identical with any observer.
     pub fn read_in_observed<O: ContentionObserver>(&self, addr: u64, obs: &mut O) -> Response {
         self.request(0, addr, false, obs)
     }
@@ -233,13 +393,15 @@ impl ConcurrentCache {
     }
 
     /// One request as client `client`: a write-back if `is_write_back`,
-    /// else a read-in, counted into that client's tally slot of the
-    /// serving stripe.
+    /// else a read-in, counted into that client's tally slots of the
+    /// serving stripe. Answered from the set's MRU word when that word
+    /// shows a hit that changes nothing; otherwise under the stripe lock.
     ///
     /// # Panics
     ///
     /// Panics if `client` is not below the slot count the cache was built
     /// with ([`with_clients`](Self::with_clients)).
+    #[inline]
     pub(crate) fn request<O: ContentionObserver>(
         &self,
         client: usize,
@@ -247,8 +409,70 @@ impl ConcurrentCache {
         is_write_back: bool,
         obs: &mut O,
     ) -> Response {
+        assert!(
+            client < self.clients,
+            "client slot {client} of {}",
+            self.clients
+        );
         let set = self.mapper.set_of(addr);
         let tag = self.mapper.tag_of(addr);
+        let stripe = (set / self.sets_per_stripe) as usize;
+        if self.lock_free {
+            let word = self.mru[set as usize].load(Ordering::Acquire);
+            if let Some(way) = mru_hit(word, tag, is_write_back) {
+                return self.lock_free_hit(client, stripe, way, is_write_back, obs);
+            }
+        }
+        self.locked(client, set, tag, is_write_back, obs)
+    }
+
+    /// A hit at MRU distance 0 that the set's MRU word answered: priced
+    /// and counted exactly as the locked path would, into the client's
+    /// lock-free tally, with no lock and no store to set state.
+    #[inline]
+    fn lock_free_hit<O: ContentionObserver>(
+        &self,
+        client: usize,
+        stripe: usize,
+        way: u8,
+        is_write_back: bool,
+        obs: &mut O,
+    ) -> Response {
+        let tally = &self.lock_free_tallies[client];
+        let probes = if is_write_back {
+            tally.write_back_hits.fetch_add(1, Ordering::Relaxed);
+            0
+        } else {
+            let assoc = self.config.associativity() as usize;
+            let probes = self.strategy.price_scanned(assoc, Some(way), Some(0), 0);
+            tally.read_in_hits.fetch_add(1, Ordering::Relaxed);
+            tally
+                .read_in_probes
+                .fetch_add(u64::from(probes), Ordering::Relaxed);
+            probes
+        };
+        if O::ENABLED {
+            obs.on_lock_free(stripe, true);
+        }
+        Response {
+            hit: true,
+            way,
+            probes,
+            evicted_dirty: false,
+            stripe,
+        }
+    }
+
+    /// A request under the stripe lock: the set access, its pricing and
+    /// counting, and the set's new MRU word.
+    fn locked<O: ContentionObserver>(
+        &self,
+        client: usize,
+        set: u64,
+        tag: u64,
+        is_write_back: bool,
+        obs: &mut O,
+    ) -> Response {
         let stripe_idx = (set / self.sets_per_stripe) as usize;
         let local = (set % self.sets_per_stripe) as usize;
 
@@ -298,6 +522,28 @@ impl ConcurrentCache {
         });
 
         let r = stripe.bank.access(local, tag, is_write_back);
+        // Under LRU the accessed block is now the set's MRU; publish it
+        // only if the word changes, so that a hit that changes nothing
+        // writes no line another client reads. The load can be `Relaxed`:
+        // only lock holders store the word, so the lock orders the last
+        // store before it. The `Release` store pairs with the lock-free
+        // path's `Acquire` load.
+        let frame = stripe.bank.frames(local).get(usize::from(r.way));
+        let word = mru_word(frame.unwrap_or_default(), r.way);
+        let slot = &self.mru[set as usize];
+        if slot.load(Ordering::Relaxed) != word {
+            slot.store(word, Ordering::Release);
+        }
+        #[cfg(debug_assertions)]
+        {
+            let (way, frame) = mru_of(&stripe.bank, local);
+            assert_eq!(
+                slot.load(Ordering::Relaxed),
+                mru_word(frame, way),
+                "set {set}'s MRU word differs from its MRU frame"
+            );
+        }
+
         let tally = &mut stripe.tallies[client];
         tally.stats.record(&r, is_write_back);
         let probes = if is_write_back {
@@ -349,18 +595,25 @@ impl ConcurrentCache {
     /// panics while it holds a stripe (a failed debug check of the
     /// pricer, say) may leave a set half updated, since a fill writes the
     /// tag, then its flags, then the packed lanes. So no one reads that
-    /// stripe again: every later lock of it, by a request, a statistics
-    /// or occupancy read, or a flush, panics and names the stripe. The
-    /// other stripes keep serving, and a replay re-raises the panic when
-    /// it joins the client that hit it.
+    /// stripe again: the guard zeroes the stripe's MRU words as the panic
+    /// unwinds through it, so no request is answered without the lock, and
+    /// every later lock of it, by a request, a statistics or occupancy
+    /// read, or a flush, panics and names the stripe. The other stripes
+    /// keep serving, and a replay re-raises the panic when it joins the
+    /// client that hit it.
     #[inline]
-    fn stripe(&self, i: usize) -> MutexGuard<'_, Stripe> {
-        self.stripes[i].lock().unwrap_or_else(|_| {
+    fn stripe(&self, i: usize) -> StripeGuard<'_> {
+        let stripe = self.stripes[i].lock().unwrap_or_else(|_| {
             panic!("stripe {i} poisoned: a request panicked while holding it, so its sets may be half updated")
-        })
+        });
+        let sets = self.sets_per_stripe as usize;
+        StripeGuard {
+            stripe,
+            mru: &self.mru[i * sets..(i + 1) * sets],
+        }
     }
 
-    /// Every stripe's client tallies, summed.
+    /// Every stripe's client tallies and every lock-free tally, summed.
     fn total(&self) -> ClientTally {
         let mut total = ClientTally::default();
         for i in 0..self.stripes.len() {
@@ -368,6 +621,9 @@ impl ConcurrentCache {
                 total.stats += t.stats;
                 total.probes = total.probes + t.probes;
             }
+        }
+        for free in self.lock_free_tallies.iter() {
+            free.add_to(&mut total);
         }
         total
     }
@@ -422,9 +678,14 @@ impl ConcurrentCache {
     /// Invalidates every block and resets recency lists (statistics are
     /// kept). Stripes are flushed one at a time — concurrent requests
     /// observe each stripe either before or after its flush, never mid-set.
+    /// A flushed set has no MRU block, so its MRU word is zeroed too.
     pub fn flush(&self) {
         for i in 0..self.stripes.len() {
-            self.stripe(i).bank.flush();
+            let mut guard = self.stripe(i);
+            guard.bank.flush();
+            for word in guard.mru {
+                word.store(0, Ordering::Release);
+            }
         }
     }
 }
@@ -432,6 +693,7 @@ impl ConcurrentCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use seta_core::lookup::Mru;
 
     fn assert_send_sync<T: Send + Sync>() {}
@@ -535,9 +797,12 @@ mod tests {
         assert_eq!(one.stats(), three.stats());
         assert_eq!(one.probe_stats(), three.probe_stats());
         let slot = |c: &ConcurrentCache, i: usize| -> u64 {
-            (0..c.num_stripes())
-                .map(|s| c.stripe(s).tallies[i].stats.accesses())
-                .sum()
+            let mut total = ClientTally::default();
+            for s in 0..c.num_stripes() {
+                total.stats += c.stripe(s).tallies[i].stats;
+            }
+            c.lock_free_tallies[i].add_to(&mut total);
+            total.stats.accesses()
         };
         assert_eq!([0, 1, 2].map(|i| slot(&three, i)), [100; 3]);
     }
@@ -608,6 +873,8 @@ mod tests {
         let c = small(4);
         let (in_0, in_1) = (0x000, 4 * 16);
         c.get(in_0);
+        let word = || c.mru[0].load(Ordering::Acquire);
+        assert_ne!(word(), 0, "an MRU hit takes no lock");
         std::thread::scope(|s| {
             let holder = s.spawn(|| {
                 let _held = c.stripe(0);
@@ -619,7 +886,10 @@ mod tests {
             let payload = catch_unwind(AssertUnwindSafe(f)).expect_err("stripe 0 is refused");
             payload.downcast::<String>().map(|m| *m).unwrap_or_default()
         };
+        assert_eq!(word(), 0, "the guard zeroed the words");
         for message in [
+            // The block is stripe 0's MRU, so only the zeroed word sends
+            // this request to the lock that refuses it.
             refusal(&|| {
                 c.get(in_0);
             }),
@@ -633,6 +903,136 @@ mod tests {
         assert!(!c.get(in_1).hit, "stripe 1 still serves");
         assert!(c.get(in_1).hit);
         assert_eq!(c.stripe_occupancy(1), 1);
+    }
+
+    #[test]
+    fn mru_word_packs_and_matches() {
+        let frame = |tag, dirty| Frame {
+            valid: true,
+            dirty,
+            tag,
+        };
+        let clean = mru_word(frame(0x1234, false), 31);
+        assert_eq!(mru_hit(clean, 0x1234, false), Some(31));
+        assert_eq!(mru_hit(clean, 0x1234, true), None, "a clean block");
+        assert_eq!(mru_hit(clean, 0x1235, false), None);
+        let dirty = mru_word(frame(0x1234, true), 5);
+        assert_eq!(mru_hit(dirty, 0x1234, true), Some(5));
+        assert_eq!(mru_hit(dirty, 0x1234, false), Some(5));
+        assert_eq!(mru_word(Frame::empty(), 0), 0);
+        assert_eq!(mru_hit(0, 0, false), None, "a zero word names no block");
+        let widest = (1u64 << 57) - 1;
+        assert_eq!(
+            mru_hit(mru_word(frame(widest, false), 0), widest, false),
+            Some(0)
+        );
+        let too_wide = 1u64 << 57;
+        assert_eq!(mru_word(frame(too_wide, true), 3), 0);
+        // The wide tag's low 57 bits are 0: a packed tag 0 never stands
+        // in for it.
+        assert_eq!(mru_hit(mru_word(frame(0, true), 3), too_wide, false), None);
+    }
+
+    #[test]
+    fn mru_hits_take_no_lock_and_count_like_locked_ones() {
+        use seta_obs::StripeContention;
+        let c = small(4);
+        let mut obs = StripeContention::new(c.num_stripes());
+        assert!(!c.read_in_observed(0x40, &mut obs).hit);
+        let hit = c.read_in_observed(0x40, &mut obs);
+        assert_eq!((hit.hit, hit.probes), (true, 2), "MRU at distance 0");
+        // A write-back to the clean MRU block locks to set its dirty bit;
+        // the next one finds it dirty and does not.
+        assert!(c.write_back_observed(0x40, &mut obs).hit);
+        assert!(c.write_back_observed(0x40, &mut obs).hit);
+        assert_eq!(obs.total_accesses(), 4);
+        assert_eq!(obs.total_acquisitions(), 2);
+        assert_eq!(obs.total_hits(), 3);
+        let s = c.stats();
+        assert_eq!((s.accesses(), s.hits(), s.write_hits()), (4, 3, 2));
+        let p = c.probe_stats();
+        assert_eq!(
+            (p.hits.count, p.hits.probes, p.write_backs.count),
+            (1, 2, 2)
+        );
+        c.flush();
+        assert!(!c.get(0x40).hit, "a flush zeroes the MRU words");
+    }
+
+    #[test]
+    fn a_tag_too_wide_to_pack_takes_the_lock() {
+        use seta_obs::StripeContention;
+        // One set of 2 ways and 1-byte blocks: the tag is the address.
+        let c = ConcurrentCache::new(
+            CacheConfig::new(2, 1, 2).unwrap(),
+            StrategyKind::Mru(Mru::full()),
+            1,
+        );
+        let mut obs = StripeContention::new(1);
+        for _ in 0..3 {
+            c.read_in_observed(u64::MAX, &mut obs);
+        }
+        assert_eq!(c.mru[0].load(Ordering::Relaxed), 0, "unpackable");
+        assert_eq!(obs.total_acquisitions(), 3);
+        assert_eq!(c.stats().hits(), 2);
+    }
+
+    /// Every kind of lookup strategy, with a truncated MRU list and a
+    /// partial compare among them.
+    fn every_kind() -> [StrategyKind; 6] {
+        use seta_core::lookup::{
+            Banked, Naive, PartialCompare, ScanOrder, Traditional, TransformKind,
+        };
+        [
+            StrategyKind::Traditional(Traditional),
+            StrategyKind::Naive(Naive),
+            StrategyKind::Mru(Mru::full()),
+            StrategyKind::Mru(Mru::truncated(2)),
+            StrategyKind::Partial(PartialCompare::new(16, 2, TransformKind::XorFold)),
+            StrategyKind::Banked(Banked::new(2, ScanOrder::Mru)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// After any sequence of read-ins, write-backs and flushes, at 1,
+        /// 2 and 16 stripes, every set's MRU word is the one its bank's
+        /// MRU frame packs into.
+        #[test]
+        fn mru_words_name_every_sets_mru_frame(
+            ops in proptest::collection::vec((0u64..0x2000, 0u8..16), 1..300),
+            kind_idx in 0usize..6,
+        ) {
+            // 16 sets of 4 ways, 32-byte blocks: 8 tags a set.
+            let config = CacheConfig::new(2 * 1024, 32, 4).unwrap();
+            let kind = every_kind()[kind_idx];
+            for stripes in [1usize, 2, 16] {
+                let cache = ConcurrentCache::new(config, kind, stripes);
+                let sets = cache.sets_per_stripe as usize;
+                for &(addr, op) in &ops {
+                    match op {
+                        0 => cache.flush(),
+                        1..=5 => {
+                            cache.write_back(addr);
+                        }
+                        _ => {
+                            cache.read_in(addr);
+                        }
+                    }
+                    for set in 0..config.num_sets() as usize {
+                        let (way, frame) = mru_of(&cache.stripe(set / sets).bank, set % sets);
+                        prop_assert_eq!(
+                            cache.mru[set].load(Ordering::Acquire),
+                            mru_word(frame, way),
+                            "set {} at {} stripes",
+                            set,
+                            stripes
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

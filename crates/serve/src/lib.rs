@@ -14,6 +14,9 @@
 //!   counter tally per client, with every
 //!   request priced by a [`StrategyKind`](seta_core::StrategyKind) lookup
 //!   (packed-lane SWAR fast path included) behind a `get`/`insert` API.
+//!   Each set also publishes its MRU block in one atomic word, and a
+//!   request that hits that block without changing it is answered from
+//!   the word, with no lock.
 //! * [`LoadSpec`] / [`replay`] — a multi-client open-loop load generator:
 //!   N client threads, each with a private L1, pull trace chunks off an
 //!   atomic work queue (the sweep runner's sharding pattern) and issue the

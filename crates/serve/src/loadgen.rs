@@ -3,7 +3,7 @@
 //! Each client thread owns a private L1 (the same [`L1Half`] the
 //! sequential hierarchy steps) and replays trace chunks against the shared
 //! [`ConcurrentCache`], issuing exactly the requests
-//! [`TwoLevel`](seta_cache::TwoLevel) would: each
+//! [`TwoLevel`] would: each
 //! [`L1Miss`](seta_cache::L1Miss)'s read-in, then its dirty victim's
 //! write-back. Chunks come off an atomic work queue — the sweep runner's sharding pattern, via
 //! [`seta_sim::partition`] — and every client starts each chunk from a
@@ -17,9 +17,9 @@
 //! [`simulate`](seta_sim::runner::simulate)'s L2 statistics — the identity
 //! the `serve-scaling-smoke` CI job asserts.
 
-use crate::cache::ConcurrentCache;
+use crate::cache::{answers_mru_hits_lock_free, ConcurrentCache};
 use serde::Serialize;
-use seta_cache::{CacheConfig, CacheStats, L1Half, L2RequestKind};
+use seta_cache::{CacheConfig, CacheStats, L1Half, L2RequestKind, L2RequestView, TwoLevel};
 use seta_core::{ProbeStats, StrategyKind};
 use seta_obs::{
     labeled, ContentionObserver, ContentionReport, LatencyRecorder, NoContention,
@@ -312,6 +312,40 @@ impl<'a, O: ContentionObserver> Client<'a, O> {
         }
         self.buf.close(root);
     }
+}
+
+/// The requests a one-client replay of `events` priced by `strategy`
+/// answers from MRU words without the lock, counted by the sequential
+/// [`TwoLevel`] hierarchy alone, with no served-cache code: the read-ins
+/// that hit at MRU distance 0, and the write-backs that hit at distance 0
+/// a block already dirty. Partial compare answers none that way, since
+/// its distance-0 price reads the set (see [`ConcurrentCache`]). The
+/// oracle for the replay's lock-free count.
+///
+/// # Panics
+///
+/// Panics if `l1` and `l2` do not make a hierarchy.
+pub fn unchanging_mru_hits(
+    l1: CacheConfig,
+    l2: CacheConfig,
+    strategy: StrategyKind,
+    events: &[TraceEvent],
+) -> u64 {
+    if !answers_mru_hits_lock_free(strategy) {
+        return 0;
+    }
+    let mut count = 0u64;
+    let mut hierarchy = TwoLevel::new(l1, l2).expect("a valid hierarchy");
+    hierarchy.run(events.iter().copied(), &mut |req: &L2RequestView<'_>| {
+        let dirty = req
+            .hit_way
+            .and_then(|w| req.frames.get(usize::from(w)))
+            .is_some_and(|f| f.dirty);
+        if req.mru_distance == Some(0) && (req.kind == L2RequestKind::ReadIn || dirty) {
+            count += 1;
+        }
+    });
+    count
 }
 
 /// Replays `events` through `threads` clients against a fresh shared

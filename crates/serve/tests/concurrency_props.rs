@@ -11,7 +11,13 @@
 //!    blocks) of a sequential replay, and its per-client tallies sum to
 //!    the sequential replay's statistics and probes.
 //! 3. **Conservation** — client-side and cache-side tallies agree at
-//!    every thread count, on arbitrary workloads.
+//!    every thread count, on arbitrary workloads, for every strategy,
+//!    with requests answered from MRU words included.
+//! 4. **MRU words** — a one-client replay answers from the sets' MRU
+//!    words exactly the requests that a sequential hierarchy, sharing no
+//!    code with the served cache, sees hit the MRU block without changing
+//!    it. (That every word names its bank's MRU frame is a unit property
+//!    of the cache module.)
 
 use proptest::prelude::*;
 use seta_cache::CacheConfig;
@@ -19,8 +25,8 @@ use seta_core::lookup::{
     Banked, LookupStrategy, Mru, Naive, PartialCompare, ScanOrder, Traditional, TransformKind,
 };
 use seta_core::StrategyKind;
-use seta_serve::loadgen::replay_with_cache;
-use seta_serve::{replay, LoadSpec};
+use seta_serve::loadgen::{replay_with_cache, unchanging_mru_hits};
+use seta_serve::{replay, replay_contended, LoadSpec};
 use seta_sim::runner::simulate;
 use seta_trace::format::DineroReader;
 use seta_trace::{TraceEvent, TraceRecord};
@@ -74,14 +80,9 @@ fn boxed(kind: StrategyKind) -> Box<dyn LookupStrategy> {
     }
 }
 
-/// Serve prices a read-in from what the bank's access reports, plus the
-/// set contents that partial compare and truncated MRU lists read before
-/// it; `simulate` prices from the hierarchy's request view. A 1-client
-/// replay must book exactly `simulate`'s probes for every kind, so the two
-/// inputs cannot drift apart.
-#[test]
-fn one_thread_replay_prices_every_kind_like_simulate() {
-    let kinds = [
+/// Every kind of lookup strategy, each built-in variant once.
+fn every_kind() -> [StrategyKind; 9] {
+    [
         StrategyKind::Traditional(Traditional),
         StrategyKind::Naive(Naive),
         StrategyKind::Mru(Mru::full()),
@@ -94,7 +95,31 @@ fn one_thread_replay_prices_every_kind_like_simulate() {
         StrategyKind::Partial(PartialCompare::new(32, 1, TransformKind::Swap)),
         StrategyKind::Banked(Banked::new(2, ScanOrder::Frame)),
         StrategyKind::Banked(Banked::new(2, ScanOrder::Mru)),
-    ];
+    ]
+}
+
+/// `(address, is_write)` pairs as trace events.
+fn mixed_events(addrs: &[(u64, bool)]) -> Vec<TraceEvent> {
+    addrs
+        .iter()
+        .map(|&(a, w)| {
+            TraceEvent::Ref(if w {
+                TraceRecord::write(a)
+            } else {
+                TraceRecord::read(a)
+            })
+        })
+        .collect()
+}
+
+/// Serve prices a read-in from what the bank's access reports, plus the
+/// set contents that partial compare and truncated MRU lists read before
+/// it; `simulate` prices from the hierarchy's request view. A 1-client
+/// replay must book exactly `simulate`'s probes for every kind, so the two
+/// inputs cannot drift apart.
+#[test]
+fn one_thread_replay_prices_every_kind_like_simulate() {
+    let kinds = every_kind();
     let strategies: Vec<Box<dyn LookupStrategy>> = kinds.iter().map(|&k| boxed(k)).collect();
     let events = tiny_events();
     let l1 = CacheConfig::direct_mapped(4 * 1024, 16).unwrap();
@@ -168,34 +193,96 @@ fn disjoint_key_chunks_match_sequential_occupancy() {
     }
 }
 
+/// Requests a one-client replay answered without the lock, from its
+/// contention report: accesses that took no acquisition.
+fn lock_free_requests(events: &[TraceEvent], spec: &LoadSpec) -> u64 {
+    let (out, report) = replay_contended(events, 1, spec);
+    assert_eq!(report.total_accesses(), out.requests);
+    report.lock_free()
+}
+
+/// At one client, the requests answered from MRU words are exactly the
+/// hierarchy's MRU hits that change nothing, for every strategy but
+/// partial compare, which answers none without the lock: its price at
+/// MRU distance 0 reads the set's contents.
+#[test]
+fn one_client_lock_free_requests_match_the_hierarchy() {
+    let events = tiny_events();
+    let l1 = CacheConfig::direct_mapped(4 * 1024, 16).unwrap();
+    for assoc in [1, 4, 8] {
+        let l2 = CacheConfig::new(64 * 1024, 32, assoc).unwrap();
+        for kind in every_kind() {
+            let oracle = unchanging_mru_hits(l1, l2, kind, &events);
+            match kind {
+                StrategyKind::Partial(_) => assert_eq!(oracle, 0),
+                _ => assert!(oracle > 0, "a = {assoc}: the trace re-hits MRU blocks"),
+            }
+            let got = lock_free_requests(&events, &LoadSpec::new(l1, l2, kind));
+            assert_eq!(got, oracle, "{} at a = {assoc}", kind.name());
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
+    /// The one-client oracle on arbitrary workloads, flushes included.
+    #[test]
+    fn one_client_lock_free_requests_match_the_hierarchy_anywhere(
+        addrs in proptest::collection::vec((0u64..0x8000, any::<bool>()), 50..400),
+        flush_at in 0usize..500,
+    ) {
+        let (l1, l2) = guard_geometry();
+        let mut events = mixed_events(&addrs);
+        if flush_at < 400 {
+            events.insert(flush_at.min(events.len()), TraceEvent::Flush);
+        }
+        let spec = LoadSpec::new(l1, l2, StrategyKind::Mru(Mru::full()));
+        prop_assert_eq!(
+            lock_free_requests(&events, &spec),
+            unchanging_mru_hits(l1, l2, spec.strategy, &events)
+        );
+    }
+
     /// Client and cache tallies conserve for arbitrary mixed workloads at
-    /// 1, 2 and 16 threads.
+    /// 1, 2, 4 and 16 threads, for every strategy, with requests answered
+    /// from MRU words included. The instrumented replay also conserves,
+    /// sees every request as one access of its stripe, at most one
+    /// acquisition each (exactly one under partial compare), and one wait
+    /// and one hold sample per acquisition.
     #[test]
     fn counters_conserve_at_all_thread_counts(
         addrs in proptest::collection::vec((0u64..0x8000, any::<bool>()), 50..400),
         flush_at in 0usize..500,
     ) {
         let (l1, l2) = guard_geometry();
-        let mut events: Vec<TraceEvent> = addrs
-            .iter()
-            .map(|&(a, w)| {
-                TraceEvent::Ref(if w { TraceRecord::write(a) } else { TraceRecord::read(a) })
-            })
-            .collect();
+        let mut events = mixed_events(&addrs);
         // Values past the workload length mean "no flush" — the vendored
         // proptest subset has no option combinator.
         if flush_at < 400 {
             events.insert(flush_at.min(events.len()), TraceEvent::Flush);
         }
-        let spec = LoadSpec::new(l1, l2, StrategyKind::Mru(Mru::full()));
         let expected_refs = addrs.len() as u64;
-        for threads in [1usize, 2, 16] {
-            let out = replay(&events, threads, &spec);
-            prop_assert_eq!(out.refs, expected_refs, "{} threads", threads);
-            prop_assert!(out.conserves(), "{} threads: {:?}", threads, out);
+        for kind in every_kind() {
+            let spec = LoadSpec::new(l1, l2, kind);
+            for threads in [1usize, 2, 4, 16] {
+                let out = replay(&events, threads, &spec);
+                prop_assert_eq!(out.refs, expected_refs, "{} threads", threads);
+                prop_assert!(out.conserves(), "{} at {} threads: {:?}", kind.name(), threads, out);
+                let (out, report) = replay_contended(&events, threads, &spec);
+                prop_assert!(out.conserves(), "{} at {} threads", kind.name(), threads);
+                prop_assert_eq!(report.total_accesses(), out.requests);
+                prop_assert_eq!(report.total_hits(), out.l2_stats.hits());
+                let acquisitions = report.total_acquisitions();
+                prop_assert!(acquisitions <= out.requests);
+                if matches!(kind, StrategyKind::Partial(_)) {
+                    prop_assert_eq!(acquisitions, out.requests, "{}", kind.name());
+                }
+                for s in &report.stripes {
+                    prop_assert_eq!(s.wait_ns.count, s.acquisitions);
+                    prop_assert_eq!(s.hold_ns.count, s.acquisitions);
+                }
+            }
         }
     }
 }

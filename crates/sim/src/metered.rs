@@ -10,7 +10,7 @@
 //! [`Progress`] heartbeat reports refs/sec and ETA on stderr.
 //!
 //! The un-instrumented path never pays for any of this: `simulate` drives
-//! the same hierarchy with the plain [`Scorer`] as its only observer.
+//! the same hierarchy with the plain `Scorer` as its only observer.
 
 use crate::runner::{assemble_outcome, RunOutcome, Scorer};
 use seta_cache::{CacheConfig, L2Observer, L2RequestKind, L2RequestView, TwoLevel, TwoLevelStats};

@@ -1,7 +1,7 @@
 //! Post-run utilization analysis of a traced sweep.
 //!
-//! [`simulate_many_traced`](crate::runner::simulate_many_traced) records
-//! where a sharded sweep's wall time went; [`SweepReport::from_trace`]
+//! [`simulate_many_traced_with_threads`](crate::runner::simulate_many_traced_with_threads)
+//! records where a sharded sweep's wall time went; [`SweepReport::from_trace`]
 //! condenses that trace into the questions that matter before scaling the
 //! runner further: how busy was each worker, how skewed were the shards,
 //! which shard was on the critical path, and how much time was lost to
